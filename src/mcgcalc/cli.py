@@ -20,14 +20,22 @@ from .system import solve_lantern_classes, validate_system
 from .words import render_word
 
 
-def _load_system(path: str):
+class _InvalidSystem(Exception):
+    """A system file with violations; its message lists them."""
+
+
+def _valid_system(path: str):
+    """The system at ``path``; raises _InvalidSystem when it has violations."""
     system = parse_system(Path(path).read_text(), path)
     violations = validate_system(system)
-    return system, violations
+    if violations:
+        raise _InvalidSystem("; ".join(violations))
+    return system
 
 
 def _cmd_check(args) -> int:
-    system, violations = _load_system(args.system)
+    system = parse_system(Path(args.system).read_text(), args.system)
+    violations = validate_system(system)
     for v in violations:
         print(f"violation: {v}")
     for a in system.assumptions:
@@ -43,10 +51,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    system, violations = _load_system(args.system)
-    if violations:
-        print("; ".join(violations), file=sys.stderr)
-        return 1
+    system = _valid_system(args.system)
     if args.word not in system.words:
         print(f"word {args.word!r} is not declared in {args.system}", file=sys.stderr)
         return 2
@@ -75,10 +80,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    system, violations = _load_system(args.system)
-    if violations:
-        print("; ".join(violations), file=sys.stderr)
-        return 1
+    system = _valid_system(args.system)
     scripts = parse_scripts(Path(args.script).read_text(), system, args.script)
     if not scripts:
         print(f"no scripts in {args.script}", file=sys.stderr)
@@ -123,10 +125,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_sites(args) -> int:
-    system, violations = _load_system(args.system)
-    if violations:
-        print("; ".join(violations), file=sys.stderr)
-        return 1
+    system = _valid_system(args.system)
     if args.word not in system.words:
         print(f"word {args.word!r} is not declared", file=sys.stderr)
         return 2
@@ -142,10 +141,7 @@ def _cmd_sites(args) -> int:
 
 
 def _cmd_solve_lantern(args) -> int:
-    system, violations = _load_system(args.system)
-    if violations:
-        print("; ".join(violations), file=sys.stderr)
-        return 1
+    system = _valid_system(args.system)
     known = list(args.known)
     if len(known) == 1:
         known = known + ["?", "?"]
@@ -234,6 +230,9 @@ def run_command(argv: list[str]) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except _InvalidSystem as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2

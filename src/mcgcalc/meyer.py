@@ -123,11 +123,16 @@ def signature_of_symmetric(s: Sequence[Sequence[int]]) -> int:
 
 def meyer_tau(a: Mat, b: Mat) -> int:
     """The Meyer cocycle on Sp(2g, Z); |tau| <= 2g."""
-    n = len(a)
-    if len(b) != n:
+    if len(b) != len(a):
         raise NotSymplectic("matrices have different sizes")
     if not sp.is_symplectic(a) or not sp.is_symplectic(b):
         raise NotSymplectic("meyer_tau needs symplectic matrices")
+    return _tau(a, b)
+
+
+def _tau(a: Mat, b: Mat) -> int:
+    """meyer_tau without its input checks, for products of transvections."""
+    n = len(a)
     ainv = sp.symplectic_inverse(a)
     rows = [
         [ainv[i][j] - (1 if i == j else 0) for j in range(n)]
@@ -155,13 +160,16 @@ def meyer_tau(a: Mat, b: Mat) -> int:
 
 
 def _prefix_products(system, w: Word) -> tuple[list[Mat], list[Mat]]:
-    mats = [sp.rho_letter(system, letter, sign) for letter, sign in w.letters]
-    out = []
-    acc = sp.mat_identity(2 * system.genus)
-    for m in mats:
-        acc = sp.mat_mul(acc, m)
-        out.append(acc)
-    return out, mats
+    """rho of every prefix v1...vk of w, and of every letter vk."""
+    identity = sp.mat_identity(2 * system.genus)
+    prefixes, letters = [], []
+    acc = identity
+    for letter, sign in w.letters:
+        twists = list(sp.twist_classes(system, letter.flatten(sign)))
+        acc = sp.twist_product(acc, twists)
+        prefixes.append(acc)
+        letters.append(sp.twist_product(identity, twists))
+    return prefixes, letters
 
 
 def separating_count(system, w: Word) -> int:
@@ -186,12 +194,12 @@ def factorization_signature(system, w: Word) -> int:
     above.  Raises NotARelator when the homological image is not the
     identity (the fibration would not close up over S^2).
     """
-    if not sp.is_homological_relator(system, w):
-        raise NotARelator("word is not a homological relator")
     prefixes, letters = _prefix_products(system, w)
+    if prefixes and prefixes[-1] != sp.mat_identity(2 * system.genus):
+        raise NotARelator("word is not a homological relator")
     total = 0
     for k in range(1, len(letters)):
-        total += meyer_tau(prefixes[k - 1], letters[k])
+        total += _tau(prefixes[k - 1], letters[k])
     return total - separating_count(system, w)
 
 

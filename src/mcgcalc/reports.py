@@ -149,12 +149,10 @@ def full_report(system: CurveSystem, w: Word) -> InvariantReport:
     Requires a homological relator; raises NotARelator otherwise and
     UnknownClass when opaque curves block the computation.
     """
-    if not sp.is_homological_relator(system, w):
-        raise NotARelator("word is not a homological relator")
     g = system.genus
+    sigma = meyer.factorization_signature(system, w)
     census = singular_fiber_census(system, w)
     e = euler_characteristic(system, w)
-    sigma = meyer.factorization_signature(system, w)
     h1 = sp.h1_total_space(system, w)
     b2plus = b2minus = b1 = None
     annotations = [

@@ -5,22 +5,24 @@ the symplectic form pairs <a_i, b_i> = +1.  Matrices are tuples of row
 tuples.  A right-handed Dehn twist along a curve of class v acts on
 homology as the transvection x -> x + <x,v> v; this sign convention is
 pinned by the signature calibration in the meyer module.
+
+Every product with transvections goes through ``twist_product``, which
+applies each factor as a rank-1 update and never builds T_v.  Products
+of transvections are symplectic by construction, so nothing here checks
+it; ``meyer.meyer_tau`` checks its caller's matrices, and the tests
+check the products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionError, NotSymplectic, UnknownClass
+from .errors import DimensionError, UnknownClass
 from .words import Letter, Word, flatten_word
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
-
-
-def zero_vector(g: int) -> Vec:
-    return (0,) * (2 * g)
 
 
 def pairing(u: Sequence[int], v: Sequence[int]) -> int:
@@ -85,27 +87,49 @@ def transvect(v: Sequence[int], a: Sequence[int], sign: int = 1) -> Vec:
     return tuple(x + c * y for x, y in zip(v, a))
 
 
+def twist_product(m: Mat, twists: Iterable[tuple[Sequence[int], int]]) -> Mat:
+    """M T_{v1}^{s1} ... T_{vk}^{sk} for the factors (v, s) in order.
+
+    Each factor is the rank-1 update M T_v^s = M + s (Mv) <., v>: column
+    j of M gains s <e_j, v> Mv.  No T_v is built, so a factor costs
+    O(n^2) instead of a dense O(n^3) product.
+    """
+    n = len(m)
+    rows = [list(row) for row in m]
+    for v, s in twists:
+        if len(v) != n:
+            raise DimensionError(f"vector of length {len(v)} against a {n}x{n} matrix")
+        # <e_j, v> is v[j+1] for even j and -v[j-1] for odd j
+        phi = [s * v[j + 1] if j % 2 == 0 else -s * v[j - 1] for j in range(n)]
+        support = [(j, f) for j, f in enumerate(phi) if f]
+        for row in rows:
+            c = sum(x * y for x, y in zip(row, v))
+            if c:
+                for j, f in support:
+                    row[j] += c * f
+    return tuple(tuple(row) for row in rows)
+
+
 def transvection(a: Sequence[int], sign: int = 1) -> Mat:
     """The matrix of T_a^sign; T_0 is the identity."""
     n = len(a)
     if n % 2:
         raise DimensionError(f"odd vector length {n}")
-    cols = [transvect(tuple(1 if i == j else 0 for i in range(n)), a, sign) for j in range(n)]
-    m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    assert is_symplectic(m)
-    return m
+    return twist_product(mat_identity(n), ((a, sign),))
 
 
-def class_of_twists(system, pairs) -> Mat:
-    """Product of transvections for a flattened twist sequence."""
-    g = system.genus
-    m = mat_identity(2 * g)
+def twist_classes(system, pairs) -> Iterator[tuple[Vec, int]]:
+    """The (class, sign) factors of a flattened twist sequence."""
     for name, sign in pairs:
         cls = system.class_of(name)
         if cls is None:
             raise UnknownClass(f"curve {name!r} has no declared homology class")
-        m = mat_mul(m, transvection(cls, sign))
-    return m
+        yield cls, sign
+
+
+def class_of_twists(system, pairs) -> Mat:
+    """Product of transvections for a flattened twist sequence."""
+    return twist_product(mat_identity(2 * system.genus), twist_classes(system, pairs))
 
 
 def rho_letter(system, letter: Letter, sign: int = 1) -> Mat:
@@ -295,7 +319,3 @@ def h1_total_space(system, w: Word) -> AbelianGroup:
     matrix = [[col[i] for col in cols] for i in range(2 * g)]
     return cokernel(matrix, 2 * g)
 
-
-def require_symplectic(m: Mat) -> None:
-    if not is_symplectic(m):
-        raise NotSymplectic("matrix does not preserve the symplectic form")

@@ -224,13 +224,6 @@ def classify_letter(system: CurveSystem, letter: Letter) -> Classification:
     return system.classify_letter(letter)
 
 
-def _letter_matrix(system: CurveSystem, letter: Letter) -> sp.Mat:
-    cls = system.homology_class_of_letter(letter)
-    if cls is None:
-        raise UnknownClass(f"letter {letter!r} has no computable class")
-    return sp.transvection(cls)
-
-
 def _letter_class(system: CurveSystem, letter: Letter) -> Vec:
     cls = system.homology_class_of_letter(letter)
     if cls is None:
@@ -255,10 +248,8 @@ def validate_relation_decl(system: CurveSystem, decl: RelationDecl) -> bool:
         )
 
     def side_product(side):
-        m = sp.mat_identity(2 * system.genus)
-        for letter in side:
-            m = sp.mat_mul(m, _letter_matrix(system, letter))
-        return m
+        twists = [(_letter_class(system, letter), 1) for letter in side]
+        return sp.twist_product(sp.mat_identity(2 * system.genus), twists)
 
     if decl.kind == "lantern":
         return side_product(decl.left) == side_product(decl.right)
@@ -338,16 +329,6 @@ def validate_system(system: CurveSystem) -> list[str]:
             violations.append(f"septype {name}: curve is not null-homologous")
         if not (1 <= h <= g // 2):
             violations.append(f"septype {name}: type {h} outside 1..{g // 2}")
-    for decl in system.relations.values():
-        if decl.status == "verified":
-            continue
-        if decl.status == "assumed":
-            continue
-        try:
-            if not validate_relation_decl(system, decl):
-                violations.append(f"relation {decl.name}: homological identity fails")
-        except UnknownClass:
-            pass
     return violations
 
 
@@ -418,12 +399,12 @@ def solve_lantern_classes(
     if bound < 1:
         raise ValueError("bound must be at least 1")
     g = system.genus
-    m = sp.mat_identity(2 * g)
+    d = []
     for name in d_names:
         cls = system.class_of(name)
         if cls is None:
             raise UnknownClass(f"curve {name!r} has no declared class")
-        m = sp.mat_mul(m, sp.transvection(cls))
+        d.append((cls, 1))
 
     known: dict[int, Vec] = {}
     unknown = []
@@ -435,28 +416,25 @@ def solve_lantern_classes(
             if cls is None:
                 raise UnknownClass(f"curve {entry!r} has no declared class")
             known[i] = cls
+    identity = sp.mat_identity(2 * g)
     if not unknown:
-        prod = sp.mat_identity(2 * g)
-        for i in range(3):
-            prod = sp.mat_mul(prod, sp.transvection(known[i]))
-        return [tuple(known[i] for i in range(3))] if prod == m else []
+        lhs = sp.twist_product(identity, d)
+        rhs = sp.twist_product(identity, [(known[i], 1) for i in range(3)])
+        return [tuple(known[i] for i in range(3))] if lhs == rhs else []
     if len(unknown) > 2:
         raise ValueError("at least one right-side class must be known")
+
+    def forced_factor(q, factors):
+        # T(r0) T(r1) T(r2) = T(d0) ... T(d3) with every factor but T(r_q)
+        # given: T(r_q) = pre^-1 T(d0) ... T(d3) post^-1.
+        pre_inv = [(factors[i], -1) for i in reversed(range(q))]
+        post_inv = [(factors[i], -1) for i in range(2, q, -1)]
+        return sp.twist_product(identity, pre_inv + d + post_inv)
 
     results = []
     if len(unknown) == 1:
         p = unknown[0]
-        # T(r0) T(r1) T(r2) = M with two knowns: isolate the unknown factor.
-        pre = sp.mat_identity(2 * g)
-        for i in range(p):
-            pre = sp.mat_mul(pre, sp.transvection(known[i]))
-        post = sp.mat_identity(2 * g)
-        for i in range(p + 1, 3):
-            post = sp.mat_mul(post, sp.transvection(known[i]))
-        target = sp.mat_mul(
-            sp.mat_mul(sp.symplectic_inverse(pre), m), sp.symplectic_inverse(post)
-        )
-        for v in _recognize_transvection(target, bound):
+        for v in _recognize_transvection(forced_factor(p, known), bound):
             filled = [known.get(i) for i in range(3)]
             filled[p] = v
             results.append(tuple(filled))
@@ -464,20 +442,9 @@ def solve_lantern_classes(
 
     p, q = unknown
     kpos = ({0, 1, 2} - {p, q}).pop()
-    kmat = sp.transvection(known[kpos])
     for vec in _box_vectors(2 * g, bound):
-        tp = sp.transvection(vec)
-        # with T(r_p) fixed, the remaining factor is forced; recognize it.
-        factors = {p: tp, kpos: kmat}
-        pre = sp.mat_identity(2 * g)
-        for i in range(q):
-            pre = sp.mat_mul(pre, factors[i])
-        post = sp.mat_identity(2 * g)
-        for i in range(q + 1, 3):
-            post = sp.mat_mul(post, factors[i])
-        target = sp.mat_mul(
-            sp.mat_mul(sp.symplectic_inverse(pre), m), sp.symplectic_inverse(post)
-        )
+        # with r_p fixed, the remaining factor is forced; recognize it.
+        target = forced_factor(q, {p: vec, kpos: known[kpos]})
         for w in _recognize_transvection(target, bound):
             filled = [known.get(i) for i in range(3)]
             filled[p] = tuple(vec)

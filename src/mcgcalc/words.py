@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-from .errors import SystemMismatch
+from .errors import McgError, SystemMismatch
 
 Pair = Tuple[str, int]
 
@@ -91,7 +91,7 @@ def normalize_conjugator(system, pairs: Iterable[Pair], base: str) -> tuple[tupl
         if swapped:
             continue
         return tuple(conj), base
-    raise AssertionError("letter normalization did not stabilize")
+    raise McgError("letter normalization did not stabilize")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,86 @@
+"""Oracles for the one transvection-product routine and for the
+signature path that no longer checks symplecticity at run time."""
+
+import random
+
+import pytest
+
+from mcgcalc.meyer import _prefix_products, factorization_signature, meyer_tau, separating_count
+from mcgcalc.moves import elementary_transformation
+from mcgcalc.symplectic import (
+    is_symplectic,
+    mat_identity,
+    mat_mul,
+    pairing,
+    transvection,
+    twist_product,
+)
+
+
+def dense_transvection(v, s):
+    """T_v^s built column by column from x -> x + s <x, v> v."""
+    n = len(v)
+    cols = []
+    for j in range(n):
+        e = tuple(1 if i == j else 0 for i in range(n))
+        c = s * pairing(e, v)
+        cols.append(tuple(x + c * y for x, y in zip(e, v)))
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def dense_product(m, twists):
+    for v, s in twists:
+        m = mat_mul(m, dense_transvection(v, s))
+    return m
+
+
+def random_twists(rng, n, count):
+    return [(tuple(rng.randrange(-3, 4) for _ in range(n)), rng.choice([1, -1]))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_twist_product_matches_dense_product(g):
+    rng = random.Random(100 + g)
+    n = 2 * g
+    zero = (0,) * n
+    for _ in range(60):
+        start = mat_identity(n)
+        while start == mat_identity(n):
+            start = dense_product(start, random_twists(rng, n, 3))
+        twists = random_twists(rng, n, rng.randrange(0, 4))
+        twists.insert(rng.randrange(len(twists) + 1), (zero, rng.choice([1, -1])))
+        assert twist_product(start, twists) == dense_product(start, twists)
+        for v, s in twists:
+            assert twist_product(start, [(v, s)]) == mat_mul(start, dense_transvection(v, s))
+            assert transvection(v, s) == dense_transvection(v, s)
+
+
+def hurwitz_walk(w, seed, steps):
+    rng = random.Random(seed)
+    for _ in range(steps):
+        w = elementary_transformation(w, rng.randrange(1, len(w)), rng.choice("LR"))
+    return w
+
+
+def relator_cases(g2, g3, rel_g2):
+    cases = [
+        (g2, g2.words["rho"]),
+        (g2, g2.words["rhoprime"]),
+        (g3, g3.words["sigma3"]),
+        (rel_g2, rel_g2.words["chainrel"]),
+    ]
+    for seed in range(3):
+        cases.append((g2, hurwitz_walk(g2.words["rho"], 7000 + seed, 15)))
+        cases.append((g3, hurwitz_walk(g3.words["sigma3"], 8000 + seed, 10)))
+    return cases
+
+
+def test_signature_prefixes_are_symplectic_and_match_guarded_tau(g2, g3, rel_g2):
+    for system, w in relator_cases(g2, g3, rel_g2):
+        prefixes, letters = _prefix_products(system, w)
+        assert prefixes[-1] == mat_identity(2 * system.genus)
+        for m in prefixes + letters:
+            assert is_symplectic(m)
+        guarded = sum(meyer_tau(prefixes[k - 1], letters[k]) for k in range(1, len(letters)))
+        assert factorization_signature(system, w) == guarded - separating_count(system, w)
