@@ -12,6 +12,7 @@ from importlib import resources
 from .errors import (
     DimensionError,
     InvalidRelation,
+    InvalidSearch,
     MalformedRelation,
     McgError,
     NotARelator,

@@ -37,6 +37,12 @@ class InvalidRelation(McgError):
     """A relation that failed homological validation."""
 
 
+class InvalidSearch(McgError, ValueError):
+    """A search request out of range: a bound below 1, nothing known, or
+    a search box past its documented limit.  Also a ValueError, the type
+    these requests raised before they had their own."""
+
+
 class SubstMismatch(McgError):
     """The word does not match the relation side at the given position."""
 

@@ -7,12 +7,37 @@ over the partial products of a positive relator and correcting by -1
 per separating (null-homologous) vanishing cycle gives the signature of
 the fibration over S^2.
 
+The signature path never needs the general cocycle, because every
+letter [W]c^s of a word acts on homology as one transvection T_u^s with
+u = rho(W)c.  Against B = T_v^s the form has rank <= 2: (B - I)y =
+s<y,v>v, so with phi(x,y) = <y,v> and psi(x,y) = <x+y,v> on z = (x,y),
+q(z, z') = -s psi(z) phi(z'), the symmetrized form is
+-s(psi(z) phi(z') + phi(z) psi(z')), and V is cut out by
+(A^-1 - I)x = -s<y,v>v.
+
+* If v = 0, or A v is not in im(A - I) (equivalently v is not in
+  im(A^-1 - I), since A^-1 - I = -A^-1 (A - I)), then <y,v> = 0 on V,
+  so phi = 0 there and tau = 0.
+* Otherwise pick any rational x0 with (A - I)x0 = A v.  Then V is the
+  set of (s t x0 + k, y) with t = <y,v> and k in ker(A - I), and
+  <k, v> = 0: im(A - I) = ker(A - I)^perp holds A v, hence v, because
+  A preserves the form and fixes ker(A - I).  So on V
+  psi = (1 + s<x0,v>) phi with phi != 0, and the form is
+  -2s(1 + s<x0,v>) phi^2: tau(A, T_v^s) = -sign(s + <x0, v>), which
+  does not depend on the choice of x0.
+
+So tau(A, T_v^s) is one of -1, 0, 1 and costs one exact linear solve
+(fraction-free elimination, ``_transvection_tau``) instead of a kernel
+and a symmetric signature.  The general ``meyer_tau`` keeps the
+definition and is the oracle the tests hold the fast path to.
+
 Everything here is exact integer arithmetic: kernels come from
-unimodular column reduction and the signature from a congruence
-recursion, so no floating point ever enters.  The sign conventions
-(transvection sign, left-to-right partial products, overall sign of the
-sum) are pinned by the calibration sigma = -12 for the 20-letter
-genus-2 relator; tests assert this.
+unimodular column reduction, the solve from fraction-free elimination
+and the signature from a congruence recursion, so no floating point
+ever enters.  The sign conventions (transvection sign, left-to-right
+partial products, overall sign of the sum) are pinned by the
+calibration sigma = -12 for the 20-letter genus-2 relator; tests assert
+this.
 """
 
 from __future__ import annotations
@@ -127,11 +152,6 @@ def meyer_tau(a: Mat, b: Mat) -> int:
         raise NotSymplectic("matrices have different sizes")
     if not sp.is_symplectic(a) or not sp.is_symplectic(b):
         raise NotSymplectic("meyer_tau needs symplectic matrices")
-    return _tau(a, b)
-
-
-def _tau(a: Mat, b: Mat) -> int:
-    """meyer_tau without its input checks, for products of transvections."""
     n = len(a)
     ainv = sp.symplectic_inverse(a)
     rows = [
@@ -159,8 +179,66 @@ def _tau(a: Mat, b: Mat) -> int:
     return signature_of_symmetric(sym)
 
 
+def _transvection_tau(a: Mat, v: Sequence[int], s: int) -> int:
+    """tau(A, T_v^s) for symplectic A and s = +-1, as derived above.
+
+    Solves (A - I)x = A v by fraction-free (Bareiss) elimination, with
+    the functional w = <., v> as an extra row that is eliminated but
+    never chosen as pivot.  The system is solvable iff the rows left
+    without a pivot are zero on the right.  Then w lies in the row
+    space (it vanishes on ker(A - I)), so its row ends as (0 | t) with
+    t = -D <x, v> for D the last pivot, and s + <x, v> = (s D - t) / D.
+
+    Bareiss keeps every entry an integer minor, but it rescales each
+    row by p / d at every pivot p.  A row whose entry in the pivot
+    column is 0 is left as stored instead, together with the pivot
+    ``ref`` it was exact for: its true value is stored * d / ref, so
+    the Bareiss update of that row is (p * row - f * pivot row) // ref.
+    Entries left of the current column are never read again.
+    """
+    if not any(v):
+        return 0
+    n = len(a)
+    support = [(j, x) for j, x in enumerate(v) if x]
+    rows = []
+    for i, arow in enumerate(a):
+        row = list(arow)
+        row[i] -= 1
+        row.append(sum(arow[j] * x for j, x in support))  # (A v)_i
+        rows.append([row, 1])
+    # <e_j, v> is v[j+1] for even j and -v[j-1] for odd j
+    rows.append([[v[j + 1] if j % 2 == 0 else -v[j - 1] for j in range(n)] + [0], 1])
+    d = 1
+    for c in range(n):
+        # rows[-1] is w and never a pivot
+        k = next((i for i in range(len(rows) - 1) if rows[i][0][c]), None)
+        if k is None:
+            continue
+        prow, ref = rows.pop(k)
+        p = prow[c] * d // ref
+        tail = [x * d // ref for x in prow[c + 1:]] if ref != d else prow[c + 1:]
+        for entry in rows:
+            row, ref = entry
+            f = row[c]
+            if f:
+                row[c + 1:] = [(p * x - f * y) // ref for x, y in zip(row[c + 1:], tail)]
+                entry[1] = p
+        d = p
+    if any(row[n] for row, _ in rows[:-1]):
+        return 0
+    row, ref = rows[-1]
+    num = s * d - row[n] * d // ref
+    if num == 0:
+        return 0
+    return -1 if (num > 0) == (d > 0) else 1
+
+
 def _prefix_products(system, w: Word) -> tuple[list[Mat], list[Mat]]:
-    """rho of every prefix v1...vk of w, and of every letter vk."""
+    """rho of every prefix v1...vk of w, and of every letter vk.
+
+    The signature no longer needs these; they feed the general-cocycle
+    oracle in the tests.
+    """
     identity = sp.mat_identity(2 * system.genus)
     prefixes, letters = [], []
     acc = identity
@@ -170,6 +248,20 @@ def _prefix_products(system, w: Word) -> tuple[list[Mat], list[Mat]]:
         prefixes.append(acc)
         letters.append(sp.twist_product(identity, twists))
     return prefixes, letters
+
+
+def _letter_class(system, letter, sign: int):
+    """u with rho(letter^sign) = T_u^sign.
+
+    For an opaque letter this raises the UnknownClass of the flattened
+    twist sequence, naming its first undeclared curve.
+    """
+    u = system.homology_class_of_letter(letter)
+    if u is None:
+        for _ in sp.twist_classes(system, letter.flatten(sign)):
+            pass
+        raise UnknownClass(f"letter {letter!r} has no computable class")
+    return u
 
 
 def separating_count(system, w: Word) -> int:
@@ -191,16 +283,27 @@ def factorization_signature(system, w: Word) -> int:
     sum is calibrated so that the 20-letter genus-2 chain relator gives
     -12 and the 12-letter torus relator (ab)^6 gives -8 (both classical
     values); with that calibration tau(T_a, T_a) = -1 as constructed
-    above.  Raises NotARelator when the homological image is not the
-    identity (the fibration would not close up over S^2).
+    above.  Raises UnknownClass at the first opaque letter, then
+    NotARelator when the homological image is not the identity (the
+    fibration would not close up over S^2).
+
+    One pass over the letters: rho(v_k) = T_u^s with u the letter's
+    class, so each step is one ``_transvection_tau`` and one rank-1
+    update of the prefix.
     """
-    prefixes, letters = _prefix_products(system, w)
-    if prefixes and prefixes[-1] != sp.mat_identity(2 * system.genus):
-        raise NotARelator("word is not a homological relator")
+    prefix = sp.mat_identity(2 * system.genus)
     total = 0
-    for k in range(1, len(letters)):
-        total += _tau(prefixes[k - 1], letters[k])
-    return total - separating_count(system, w)
+    separating = 0
+    for letter, sign in w.letters:
+        u = _letter_class(system, letter, sign)
+        if any(u):
+            total += _transvection_tau(prefix, u, sign)
+            prefix = sp.twist_product(prefix, ((u, sign),))
+        else:
+            separating += 1
+    if prefix != sp.mat_identity(2 * system.genus):
+        raise NotARelator("word is not a homological relator")
+    return total - separating
 
 
 def hyperelliptic_signature(g: int, n0: int, nh: Mapping[int, int] | None = None) -> Fraction:

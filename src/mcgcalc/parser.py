@@ -16,8 +16,10 @@ System files (``.mcg``) declare, one statement per line:
 Word expressions: EXPR := FACTOR+ ; FACTOR := ATOM ('^' INT)? |
 '(' EXPR ')' '^' INT ; ATOM := NAME | '[' CONJ ']' NAME ; CONJ :=
 (NAME ('^' INT)?)+.  Word powers must be >= 1 and expand at parse time;
-conjugator exponents may be negative.  The conjugator reads in display
-order: the leftmost twist is applied last.  ``#`` starts a comment.
+conjugator exponents may be negative.  An expression may expand to at
+most ``MAX_WORD_LETTERS`` letters, and a conjugator to as many twists.
+The conjugator reads in display order: the leftmost twist is applied
+last.  ``#`` starts a comment.
 
 Script files hold derivations:
 
@@ -47,6 +49,11 @@ from .system import (
     validate_system,
 )
 from .words import Letter, Word, render_word
+
+# Most letters a word expression may expand to.  Powers expand at parse
+# time, so ``c1^1000000000`` would otherwise allocate gigabytes; the
+# length is checked before anything is expanded.
+MAX_WORD_LETTERS = 100_000
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+|\+|-|\^|\[|\]|\(|\)|=>|=|:|@|\?)")
 
@@ -145,6 +152,7 @@ def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
 
 def _parse_conj(toks: _Tokens, system: CurveSystem) -> list[tuple[str, int]]:
     out = []
+    twists = 0
     while _is_name(toks.peek()):
         name = toks.next()
         exp = 1
@@ -156,6 +164,9 @@ def _parse_conj(toks: _Tokens, system: CurveSystem) -> list[tuple[str, int]]:
             exp = int(tok)
             if exp == 0:
                 raise ParseError("conjugator exponent must be nonzero", toks.line)
+        twists += abs(exp)
+        if twists > MAX_WORD_LETTERS:
+            raise ParseError(f"conjugator expands past {MAX_WORD_LETTERS} twists", toks.line)
         out.append((name, exp))
     if not out:
         raise ParseError("empty conjugator", toks.line, toks.col(), toks.peek())
@@ -183,6 +194,22 @@ def _parse_atom(toks: _Tokens, system: CurveSystem) -> Letter:
         raise ParseError(str(exc), toks.line) from exc
 
 
+def _word_power(toks: _Tokens) -> int:
+    ptok = toks.next()
+    if not _is_int(ptok) or int(ptok) < 1:
+        raise ParseError("word powers must be >= 1", toks.line, toks.col(), ptok)
+    return int(ptok)
+
+
+def _extend(letters: list[Letter], unit: list[Letter], power: int, line: int) -> None:
+    """Append ``unit`` ``power`` times, refusing past MAX_WORD_LETTERS."""
+    if len(letters) + len(unit) * power > MAX_WORD_LETTERS:
+        raise ParseError(
+            f"word expression expands past {MAX_WORD_LETTERS} letters", line
+        )
+    letters.extend(unit * power)
+
+
 def _parse_word_expr(toks: _Tokens, system: CurveSystem, depth: int = 0) -> list[Letter]:
     letters: list[Letter] = []
     while not toks.done():
@@ -196,20 +223,14 @@ def _parse_word_expr(toks: _Tokens, system: CurveSystem, depth: int = 0) -> list
             inner = _parse_word_expr(toks, system, depth + 1)
             toks.next(")")
             toks.next("^")
-            ptok = toks.next()
-            if not _is_int(ptok) or int(ptok) < 1:
-                raise ParseError("word powers must be >= 1", toks.line, toks.col(), ptok)
-            letters.extend(inner * int(ptok))
+            _extend(letters, inner, _word_power(toks), toks.line)
             continue
         atom = _parse_atom(toks, system)
         power = 1
         if toks.peek() == "^":
             toks.next()
-            ptok = toks.next()
-            if not _is_int(ptok) or int(ptok) < 1:
-                raise ParseError("word powers must be >= 1", toks.line, toks.col(), ptok)
-            power = int(ptok)
-        letters.extend([atom] * power)
+            power = _word_power(toks)
+        _extend(letters, [atom], power, toks.line)
     if not letters:
         raise ParseError("empty word expression", toks.line)
     return letters

@@ -63,10 +63,6 @@ def mat_transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def is_symplectic(m: Mat) -> bool:
     n = len(m)
     if n % 2 or any(len(row) != n for row in m):
@@ -76,9 +72,16 @@ def is_symplectic(m: Mat) -> bool:
 
 
 def symplectic_inverse(m: Mat) -> Mat:
-    """M^-1 = J^-1 M^T J for symplectic M."""
-    j = standard_j(len(m) // 2)
-    return mat_mul(mat_mul(mat_neg(j), mat_transpose(m)), j)
+    """M^-1 = J^-1 M^T J for symplectic M, as a signed transpose.
+
+    J pairs index i with its partner i ^ 1, so entry (i, j) of -J M^T J
+    is +-M[j ^ 1][i ^ 1], negative when i and j differ in parity.
+    """
+    n = len(m)
+    return tuple(
+        tuple(m[j ^ 1][i ^ 1] if (i ^ j) & 1 == 0 else -m[j ^ 1][i ^ 1] for j in range(n))
+        for i in range(n)
+    )
 
 
 def transvect(v: Sequence[int], a: Sequence[int], sign: int = 1) -> Vec:
@@ -102,8 +105,9 @@ def twist_product(m: Mat, twists: Iterable[tuple[Sequence[int], int]]) -> Mat:
         # <e_j, v> is v[j+1] for even j and -v[j-1] for odd j
         phi = [s * v[j + 1] if j % 2 == 0 else -s * v[j - 1] for j in range(n)]
         support = [(j, f) for j, f in enumerate(phi) if f]
+        vsupport = [(j, x) for j, x in enumerate(v) if x]
         for row in rows:
-            c = sum(x * y for x, y in zip(row, v))
+            c = sum(row[j] * x for j, x in vsupport)
             if c:
                 for j, f in support:
                     row[j] += c * f

@@ -21,6 +21,7 @@ from . import symplectic as sp
 from .errors import (
     DimensionError,
     InvalidRelation,
+    InvalidSearch,
     MalformedRelation,
     UnknownClass,
     UnknownCurve,
@@ -28,6 +29,11 @@ from .errors import (
 from .words import Letter, Word, normalize_conjugator
 
 Vec = tuple[int, ...]
+
+# Most candidates the two-unknown lantern search may try.  It walks the
+# whole box [-b, b]^(2g), (2b+1)^(2g) vectors; 10^5 admits genus 3 at
+# bound 2 (15625), and a larger box is refused before it starts.
+LANTERN_BOX_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -393,11 +399,13 @@ def solve_lantern_classes(
     or None for an unknown.  Unknown classes are searched over integer
     vectors with coefficients in [-bound, bound].  Returns the full list
     of assignments (known positions filled in), in deterministic order.
+    Raises InvalidSearch for a bound below 1, for three unknowns, and
+    for two unknowns whose box exceeds ``LANTERN_BOX_LIMIT``.
     """
     if len(d_names) != 4 or len(right) != 3:
         raise MalformedRelation("lantern needs 4 left names and 3 right entries")
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise InvalidSearch(f"bound must be at least 1, got {bound}")
     g = system.genus
     d = []
     for name in d_names:
@@ -422,7 +430,7 @@ def solve_lantern_classes(
         rhs = sp.twist_product(identity, [(known[i], 1) for i in range(3)])
         return [tuple(known[i] for i in range(3))] if lhs == rhs else []
     if len(unknown) > 2:
-        raise ValueError("at least one right-side class must be known")
+        raise InvalidSearch("at least one right-side class must be known")
 
     def forced_factor(q, factors):
         # T(r0) T(r1) T(r2) = T(d0) ... T(d3) with every factor but T(r_q)
@@ -440,6 +448,12 @@ def solve_lantern_classes(
             results.append(tuple(filled))
         return sorted(results)
 
+    box = (2 * bound + 1) ** (2 * g)
+    if box > LANTERN_BOX_LIMIT:
+        raise InvalidSearch(
+            f"two unknown classes at genus {g}, bound {bound} mean {box} candidates, "
+            f"more than the limit of {LANTERN_BOX_LIMIT}"
+        )
     p, q = unknown
     kpos = ({0, 1, 2} - {p, q}).pop()
     for vec in _box_vectors(2 * g, bound):
