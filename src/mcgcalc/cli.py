@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import McgError, NotARelator, ParseError, ScriptError, UnknownClass
 from .moves import find_sites, replay_script
-from .parser import parse_scripts, parse_system
+from .parser import parse_scripts, parse_system, read_source
 from .reports import full_report, substitution_delta_report
 from .system import solve_lantern_classes, validate_system
 from .words import render_word
@@ -26,7 +25,7 @@ class _InvalidSystem(Exception):
 
 def _valid_system(path: str):
     """The system at ``path``; raises _InvalidSystem when it has violations."""
-    system = parse_system(Path(path).read_text(), path)
+    system = parse_system(read_source(path), path)
     violations = validate_system(system)
     if violations:
         raise _InvalidSystem("; ".join(violations))
@@ -34,7 +33,7 @@ def _valid_system(path: str):
 
 
 def _cmd_check(args) -> int:
-    system = parse_system(Path(args.system).read_text(), args.system)
+    system = parse_system(read_source(args.system), args.system)
     violations = validate_system(system)
     for v in violations:
         print(f"violation: {v}")
@@ -81,7 +80,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_replay(args) -> int:
     system = _valid_system(args.system)
-    scripts = parse_scripts(Path(args.script).read_text(), system, args.script)
+    scripts = parse_scripts(read_source(args.script), system, args.script)
     if not scripts:
         print(f"no scripts in {args.script}", file=sys.stderr)
         return 2

@@ -47,7 +47,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from . import symplectic as sp
-from .errors import NotARelator, NotSymplectic, UnknownClass
+from .errors import NotARelator, NotSymplectic
 from .words import Word
 
 Mat = sp.Mat
@@ -250,29 +250,8 @@ def _prefix_products(system, w: Word) -> tuple[list[Mat], list[Mat]]:
     return prefixes, letters
 
 
-def _letter_class(system, letter, sign: int):
-    """u with rho(letter^sign) = T_u^sign.
-
-    For an opaque letter this raises the UnknownClass of the flattened
-    twist sequence, naming its first undeclared curve.
-    """
-    u = system.homology_class_of_letter(letter)
-    if u is None:
-        for _ in sp.twist_classes(system, letter.flatten(sign)):
-            pass
-        raise UnknownClass(f"letter {letter!r} has no computable class")
-    return u
-
-
 def separating_count(system, w: Word) -> int:
-    count = 0
-    for letter, _ in w.letters:
-        cls = system.homology_class_of_letter(letter)
-        if cls is None:
-            raise UnknownClass(f"letter {letter!r} has no computable class")
-        if not any(cls):
-            count += 1
-    return count
+    return sum(1 for letter, sign in w.letters if not any(sp.letter_class(system, letter, sign)))
 
 
 def factorization_signature(system, w: Word) -> int:
@@ -295,7 +274,7 @@ def factorization_signature(system, w: Word) -> int:
     total = 0
     separating = 0
     for letter, sign in w.letters:
-        u = _letter_class(system, letter, sign)
+        u = sp.letter_class(system, letter, sign)
         if any(u):
             total += _transvection_tau(prefix, u, sign)
             prefix = sp.twist_product(prefix, ((u, sign),))

@@ -19,6 +19,7 @@ from typing import Optional
 from . import symplectic as sp
 from .errors import (
     InvalidRelation,
+    NotARelator,
     ScriptError,
     SubstMismatch,
     UnknownClass,
@@ -115,14 +116,15 @@ def rotate(w: Word, k: int) -> Word:
     """Cyclic rotation, compiled to elementary moves plus a conjugation.
 
     k > 0 moves the last k letters to the front, k < 0 the first |k|
-    letters to the end.  The result is the exact cyclic permutation.
+    letters to the end.  The result is the exact cyclic permutation, so
+    only |k| mod n single rotations are made, in the direction of k.
     """
     _require_positive(w)
     n = len(w.letters)
     if n == 0 or k % n == 0:
         return w
     step = 1 if k > 0 else -1
-    for _ in range(abs(k)):
+    for _ in range(abs(k) % n):
         n = len(w.letters)
         if step == 1:
             z = w.letters[-1][0]
@@ -170,16 +172,19 @@ def substitute(
         + tuple((l, 1) for l in dst)
         + w.letters[position - 1 + len(src) :]
     )
-    out = Word(w.system, letters, _reduced=True)
     if rel.status == "verified":
+        # the window is src letter for letter, so rho(w) is kept iff rho(src) = rho(dst)
         try:
-            if sp.rho_image(w.system, w) != sp.rho_image(w.system, out):
-                raise InvalidRelation(
-                    f"relation {rel.name}: substitution changed the homological image"
-                )
+            src_image, dst_image = (
+                sp.rho_image(w.system, Word(w.system, [(l, 1) for l in side])) for side in (src, dst)
+            )
         except UnknownClass:
-            pass
-    return out
+            src_image = dst_image = None
+        if src_image != dst_image:
+            raise InvalidRelation(
+                f"relation {rel.name}: substitution changed the homological image"
+            )
+    return Word(w.system, letters, _reduced=True)
 
 
 def find_sites(system: CurveSystem, w: Word, rel: RelationDecl) -> list[tuple[int, str]]:
@@ -231,13 +236,23 @@ class ReplayResult:
         return len(self.final.letters) - len(self.initial.letters)
 
 
-def _try_sigma(system: CurveSystem, w: Word) -> Optional[int]:
+def _image_and_sigma(
+    system: CurveSystem, w: Word, track_sigma: bool
+) -> tuple[Optional[sp.Mat], Optional[int]]:
+    """rho(w) and, when tracked, sigma(w); both None when opaque letters block them.
+
+    With sigma tracked the signature is the only pass: it ends by
+    checking rho(w) = I and raises NotARelator otherwise.
+    """
     from .meyer import factorization_signature
 
     try:
-        return factorization_signature(system, w)
+        if not track_sigma:
+            return sp.rho_image(system, w), None
+        sigma = factorization_signature(system, w)
+        return sp.mat_identity(2 * system.genus), sigma
     except UnknownClass:
-        return None
+        return None, None
 
 
 def replay_script(
@@ -256,12 +271,7 @@ def replay_script(
         raise ScriptError(0, "source", f"word {script.source!r} is not declared")
     w = system.words[script.source]
     result = ReplayResult(script, w, w)
-    try:
-        rho_before: Optional[sp.Mat] = sp.rho_image(system, w)
-    except UnknownClass:
-        rho_before = None
-    if track_sigma:
-        result.sigma_initial = _try_sigma(system, w)
+    rho_before, result.sigma_initial = _image_and_sigma(system, w, track_sigma)
 
     for idx, move in enumerate(script.steps, start=1):
         try:
@@ -291,9 +301,12 @@ def replay_script(
             if rel.status == "assumed":
                 record.assumed_relation = rel.name
         try:
-            rho_after: Optional[sp.Mat] = sp.rho_image(system, w)
-        except UnknownClass:
-            rho_after = None
+            rho_after, record.sigma = _image_and_sigma(system, w, track_sigma)
+        except NotARelator:
+            # rho(w) != I, and every earlier computable word had rho = I
+            if rho_before is None:
+                raise
+            raise ScriptError(idx, str(move), "homological image changed") from None
         if rho_before is not None and rho_after is not None:
             record.rho_checked = rho_after == rho_before
             if not record.rho_checked:
@@ -306,13 +319,11 @@ def replay_script(
             # the free group; nothing homological left to check
             record.rho_checked = True
         rho_before = rho_after if rho_after is not None else rho_before
-        if track_sigma:
-            record.sigma = _try_sigma(system, w)
         result.steps.append(record)
 
     result.final = w
     if track_sigma:
-        result.sigma_final = _try_sigma(system, w)
+        result.sigma_final = _image_and_sigma(system, w, track_sigma)[1]
     if script.expect is not None:
         if script.expect not in system.words:
             raise ScriptError(0, "expect", f"word {script.expect!r} is not declared")

@@ -17,9 +17,10 @@ Word expressions: EXPR := FACTOR+ ; FACTOR := ATOM ('^' INT)? |
 '(' EXPR ')' '^' INT ; ATOM := NAME | '[' CONJ ']' NAME ; CONJ :=
 (NAME ('^' INT)?)+.  Word powers must be >= 1 and expand at parse time;
 conjugator exponents may be negative.  An expression may expand to at
-most ``MAX_WORD_LETTERS`` letters, and a conjugator to as many twists.
-The conjugator reads in display order: the leftmost twist is applied
-last.  ``#`` starts a comment.
+most ``MAX_WORD_LETTERS`` letters, and a conjugator to as many twists;
+parentheses nest at most ``MAX_NESTING`` deep and the genus is at most
+``MAX_GENUS``.  The conjugator reads in display order: the leftmost
+twist is applied last.  ``#`` starts a comment.  Files are UTF-8 text.
 
 Script files hold derivations:
 
@@ -54,6 +55,16 @@ from .words import Letter, Word, render_word
 # time, so ``c1^1000000000`` would otherwise allocate gigabytes; the
 # length is checked before anything is expanded.
 MAX_WORD_LETTERS = 100_000
+
+# Largest genus a system may declare.  Every class is a vector of 2g
+# integers and every image a 2g x 2g matrix, so a genus of 10^10 would
+# allocate before anything else could be checked.
+MAX_GENUS = 1000
+
+# Deepest nesting of parentheses in a word expression; each level is a
+# recursive call, and past the interpreter's recursion limit that would
+# end in a RecursionError instead of a ParseError.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+|\+|-|\^|\[|\]|\(|\)|=>|=|:|@|\?)")
 
@@ -109,8 +120,18 @@ def _is_name(tok: Optional[str]) -> bool:
     return tok is not None and _NAME.match(tok) is not None
 
 
-def _is_int(tok: Optional[str]) -> bool:
-    return tok is not None and _INT.match(tok) is not None
+def _int(tok: Optional[str], line: int) -> Optional[int]:
+    """The integer a token spells, or None when it spells none.
+
+    Python refuses to convert a numeral past its digit limit (4300 by
+    default); that is a ParseError on the token's line.
+    """
+    if tok is None or _INT.match(tok) is None:
+        return None
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"integer of {len(tok.lstrip('-'))} digits is too long", line) from None
 
 
 def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
@@ -130,19 +151,22 @@ def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
             toks.next()
             sign = -1 if tok == "-" else 1
             tok = toks.peek()
-        coeff = 1
-        if _is_int(tok):
-            coeff = int(toks.next())
+        coeff = _int(tok, toks.line)
+        if coeff is None:
+            coeff = 1
+        else:
+            toks.next()
             tok = toks.peek()
         if not _is_name(tok):
             raise ParseError("expected basis symbol", toks.line, toks.col(), tok)
         name = toks.next()
         m = re.match(r"([ab])(\d+)$", name)
-        if not m or not (1 <= int(m.group(2)) <= genus):
+        k = _int(m.group(2), toks.line) if m else None
+        if k is None or not (1 <= k <= genus):
             raise ParseError(
                 f"unresolved basis symbol for genus {genus}", toks.line, toks.col(), name
             )
-        idx = 2 * (int(m.group(2)) - 1) + (0 if m.group(1) == "a" else 1)
+        idx = 2 * (k - 1) + (0 if m.group(1) == "a" else 1)
         vec[idx] += sign * coeff
         parsed_any = True
     if not parsed_any:
@@ -159,9 +183,9 @@ def _parse_conj(toks: _Tokens, system: CurveSystem) -> list[tuple[str, int]]:
         if toks.peek() == "^":
             toks.next()
             tok = toks.next()
-            if not _is_int(tok):
+            exp = _int(tok, toks.line)
+            if exp is None:
                 raise ParseError("expected integer exponent", toks.line, toks.col(), tok)
-            exp = int(tok)
             if exp == 0:
                 raise ParseError("conjugator exponent must be nonzero", toks.line)
         twists += abs(exp)
@@ -196,9 +220,10 @@ def _parse_atom(toks: _Tokens, system: CurveSystem) -> Letter:
 
 def _word_power(toks: _Tokens) -> int:
     ptok = toks.next()
-    if not _is_int(ptok) or int(ptok) < 1:
+    power = _int(ptok, toks.line)
+    if power is None or power < 1:
         raise ParseError("word powers must be >= 1", toks.line, toks.col(), ptok)
-    return int(ptok)
+    return power
 
 
 def _extend(letters: list[Letter], unit: list[Letter], power: int, line: int) -> None:
@@ -219,6 +244,8 @@ def _parse_word_expr(toks: _Tokens, system: CurveSystem, depth: int = 0) -> list
                 raise ParseError("unbalanced ')'", toks.line, toks.col(), tok)
             break
         if tok == "(":
+            if depth >= MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", toks.line)
             toks.next()
             inner = _parse_word_expr(toks, system, depth + 1)
             toks.next(")")
@@ -269,10 +296,13 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
             if system is not None:
                 raise ParseError("duplicate genus statement", lineno)
             tok = toks.next()
-            if not _is_int(tok) or int(tok) < 2:
+            genus = _int(tok, lineno)
+            if genus is None or genus < 2:
                 raise ParseError("genus must be an integer >= 2", lineno, token=tok)
+            if genus > MAX_GENUS:
+                raise ParseError(f"genus is at most {MAX_GENUS}", lineno)
             toks.require_done()
-            system = CurveSystem(int(tok))
+            system = CurveSystem(genus)
             continue
         if system is None:
             raise ParseError("genus statement must come first", lineno, token=stmt)
@@ -291,11 +321,12 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
                 toks.require_done()
                 system.add_meet1(a, b)
             elif stmt == "septype":
-                name, h = toks.next(), toks.next()
+                name, htok = toks.next(), toks.next()
                 toks.require_done()
-                if not _is_int(h):
-                    raise ParseError("septype needs an integer type", lineno, token=h)
-                system.add_septype(name, int(h))
+                h = _int(htok, lineno)
+                if h is None:
+                    raise ParseError("septype needs an integer type", lineno, token=htok)
+                system.add_septype(name, h)
             elif stmt in ("lantern", "braid", "commute", "chain2", "word"):
                 pending.append((lineno, toks, stmt))
             else:
@@ -377,14 +408,15 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
         if current is None or not indented:
             raise ParseError("script steps must be indented under a script header", lineno, token=stmt)
         if stmt == "elem":
-            idx = toks.next()
+            tok = toks.next()
             direction = toks.next()
             toks.require_done()
-            if not _is_int(idx) or int(idx) < 1:
-                raise ParseError("elem needs a positive index", lineno, token=idx)
+            idx = _int(tok, lineno)
+            if idx is None or idx < 1:
+                raise ParseError("elem needs a positive index", lineno, token=tok)
             if direction not in ("L", "R"):
                 raise ParseError("elem direction must be L or R", lineno, token=direction)
-            current["steps"].append(Elem(int(idx), direction))
+            current["steps"].append(Elem(idx, direction))
         elif stmt == "conj":
             pairs = _parse_conj(toks, system)
             toks.require_done()
@@ -397,24 +429,26 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError(str(exc), lineno) from exc
             current["steps"].append(Conj(Word(system, letters)))
         elif stmt == "rot":
-            k = toks.next()
+            tok = toks.next()
             toks.require_done()
-            if not _is_int(k) or int(k) == 0:
-                raise ParseError("rot needs a nonzero integer", lineno, token=k)
-            current["steps"].append(Rotate(int(k)))
+            k = _int(tok, lineno)
+            if not k:
+                raise ParseError("rot needs a nonzero integer", lineno, token=tok)
+            current["steps"].append(Rotate(k))
         elif stmt == "subst":
             rel = toks.next()
             toks.next("@")
-            pos = toks.next()
+            tok = toks.next()
             direction = toks.next()
             toks.require_done()
             if rel not in system.relations:
                 raise ParseError(f"relation {rel!r} is not declared", lineno, token=rel)
-            if not _is_int(pos) or int(pos) < 1:
-                raise ParseError("subst needs a positive position", lineno, token=pos)
+            pos = _int(tok, lineno)
+            if pos is None or pos < 1:
+                raise ParseError("subst needs a positive position", lineno, token=tok)
             if direction not in ("fwd", "rev"):
                 raise ParseError("subst direction must be fwd or rev", lineno, token=direction)
-            current["steps"].append(Subst(rel, int(pos), direction))
+            current["steps"].append(Subst(rel, pos, direction))
         elif stmt == "expect":
             name = toks.next()
             toks.require_done()
@@ -427,6 +461,14 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
     return scripts
 
 
+def read_source(path: str | Path) -> str:
+    """The text of an input file; a ParseError when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def parse_inputs(paths: Iterable[str | Path]) -> tuple[CurveSystem, dict[str, Word], dict[str, DerivationScript]]:
     """Load a system file and any number of script files.
 
@@ -436,7 +478,7 @@ def parse_inputs(paths: Iterable[str | Path]) -> tuple[CurveSystem, dict[str, Wo
     paths = [Path(p) for p in paths]
     if not paths:
         raise ParseError("no input files")
-    system = parse_system(paths[0].read_text(), str(paths[0]))
+    system = parse_system(read_source(paths[0]), str(paths[0]))
     violations = validate_system(system)
     if violations:
         raise ParseError(
@@ -444,5 +486,5 @@ def parse_inputs(paths: Iterable[str | Path]) -> tuple[CurveSystem, dict[str, Wo
         )
     scripts: dict[str, DerivationScript] = {}
     for p in paths[1:]:
-        scripts.update(parse_scripts(p.read_text(), system, str(p)))
+        scripts.update(parse_scripts(read_source(p), system, str(p)))
     return system, dict(system.words), scripts

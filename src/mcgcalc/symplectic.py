@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, UnknownClass
-from .words import Letter, Word, flatten_word
+from .words import Letter, Word
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -131,19 +131,32 @@ def twist_classes(system, pairs) -> Iterator[tuple[Vec, int]]:
         yield cls, sign
 
 
-def class_of_twists(system, pairs) -> Mat:
-    """Product of transvections for a flattened twist sequence."""
-    return twist_product(mat_identity(2 * system.genus), twist_classes(system, pairs))
+def letter_class(system, letter: Letter, sign: int = 1) -> Vec:
+    """u with rho(letter^sign) = T_u^sign: the class of the twisted curve.
+
+    This is the one route from a letter to Sp(2g, Z).  For an opaque
+    letter it raises the UnknownClass of the flattened twist sequence,
+    naming the first undeclared curve of ``letter.flatten(sign)``.
+    """
+    u = system.homology_class_of_letter(letter)
+    if u is None:
+        for _ in twist_classes(system, letter.flatten(sign)):
+            pass
+        raise UnknownClass(f"letter {letter!r} has no computable class")
+    return u
 
 
 def rho_letter(system, letter: Letter, sign: int = 1) -> Mat:
-    """Image of a letter: rho([W]c) = rho(W) T_c rho(W)^-1."""
-    return class_of_twists(system, letter.flatten(sign))
+    """Image of a letter: rho([W]c) = rho(W) T_c rho(W)^-1 = T_u, u = rho(W)c."""
+    return transvection(letter_class(system, letter, sign), sign)
 
 
 def rho_image(system, w: Word) -> Mat:
-    """Multiplicative image of a word under the symplectic representation."""
-    return class_of_twists(system, flatten_word(w))
+    """Multiplicative image of a word: one rank-1 update per letter."""
+    return twist_product(
+        mat_identity(2 * system.genus),
+        ((letter_class(system, letter, sign), sign) for letter, sign in w.letters),
+    )
 
 
 def is_homological_relator(system, w: Word) -> bool:
@@ -312,12 +325,7 @@ def h1_total_space(system, w: Word) -> AbelianGroup:
     the letters of the word.
     """
     g = system.genus
-    cols = []
-    for letter, _sign in w.letters:
-        cls = system.homology_class_of_letter(letter)
-        if cls is None:
-            raise UnknownClass(f"letter {letter!r} has no computable class")
-        cols.append(cls)
+    cols = [letter_class(system, letter, sign) for letter, sign in w.letters]
     if not cols:
         return AbelianGroup(2 * g)
     matrix = [[col[i] for col in cols] for i in range(2 * g)]

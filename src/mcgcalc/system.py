@@ -230,13 +230,6 @@ def classify_letter(system: CurveSystem, letter: Letter) -> Classification:
     return system.classify_letter(letter)
 
 
-def _letter_class(system: CurveSystem, letter: Letter) -> Vec:
-    cls = system.homology_class_of_letter(letter)
-    if cls is None:
-        raise UnknownClass(f"letter {letter!r} has no computable class")
-    return cls
-
-
 def validate_relation_decl(system: CurveSystem, decl: RelationDecl) -> bool:
     """Check the relation's homological identity in Sp(2g, Z).
 
@@ -253,28 +246,30 @@ def validate_relation_decl(system: CurveSystem, decl: RelationDecl) -> bool:
             f"({len(decl.left)}, {len(decl.right)}), expected ({nl}, {nr})"
         )
 
+    def cls(letter):
+        return sp.letter_class(system, letter)
+
     def side_product(side):
-        twists = [(_letter_class(system, letter), 1) for letter in side]
-        return sp.twist_product(sp.mat_identity(2 * system.genus), twists)
+        return sp.twist_product(sp.mat_identity(2 * system.genus), [(cls(l), 1) for l in side])
 
     if decl.kind == "lantern":
         return side_product(decl.left) == side_product(decl.right)
     if decl.kind == "braid":
         a, b = decl.left[0], decl.left[1]
-        if abs(sp.pairing(_letter_class(system, a), _letter_class(system, b))) != 1:
+        if abs(sp.pairing(cls(a), cls(b))) != 1:
             return False
         return side_product(decl.left) == side_product(decl.right)
     if decl.kind == "commute":
         a, b = decl.left
-        if sp.pairing(_letter_class(system, a), _letter_class(system, b)) != 0:
+        if sp.pairing(cls(a), cls(b)) != 0:
             return False
         return side_product(decl.left) == side_product(decl.right)
     # chain2
     a, b = decl.left[0], decl.left[1]
     c = decl.right[0]
-    if abs(sp.pairing(_letter_class(system, a), _letter_class(system, b))) != 1:
+    if abs(sp.pairing(cls(a), cls(b))) != 1:
         return False
-    if any(_letter_class(system, c)):
+    if any(cls(c)):
         return False
     return side_product(decl.left) == sp.mat_identity(2 * system.genus)
 
