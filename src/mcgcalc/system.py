@@ -13,7 +13,6 @@ treated as immutable afterward; queries are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -30,9 +29,11 @@ from .words import Letter, Word, normalize_conjugator
 
 Vec = tuple[int, ...]
 
-# Most candidates the two-unknown lantern search may try.  It walks the
-# whole box [-b, b]^(2g), (2b+1)^(2g) vectors; 10^5 admits genus 3 at
-# bound 2 (15625), and a larger box is refused before it starts.
+# Largest box [-b, b]^(2g) of (2b+1)^(2g) vectors that a two-unknown
+# lantern search accepts; 10^5 admits genus 3 at bound 2 (15625), and a
+# larger box is refused before the search starts.  The search walks at
+# most (2b+1)^2 of those vectors, but the limit is on the box, so which
+# searches are refused depends only on g and b.
 LANTERN_BOX_LIMIT = 100_000
 
 
@@ -339,34 +340,18 @@ def _recognize_transvection(m: sp.Mat, bound: int) -> list[Vec]:
     d = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     if all(all(x == 0 for x in row) for row in d):
         return [tuple([0] * n)]
-    col = None
-    for j in range(n):
-        column = tuple(d[i][j] for i in range(n))
-        if any(column):
-            col = column
-            break
-    if col is None:
-        return []
+    j = next(j for j in range(n) if any(row[j] for row in d))
+    col = [row[j] for row in d]
     g = 0
     for x in col:
         g = gcd(g, x)
     prim = tuple(x // g for x in col)
-    # T_v - I maps x to <x,v> v, so every candidate is an integer multiple
-    # of the primitive direction; solve lambda^2 from one nonzero entry.
-    w = sp.transvection(prim)
-    wd = [[w[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    lam2 = None
-    for i in range(n):
-        for j in range(n):
-            if wd[i][j]:
-                if d[i][j] % wd[i][j]:
-                    return []
-                lam2 = d[i][j] // wd[i][j]
-                break
-        if lam2 is not None:
-            break
-    if lam2 is None or lam2 <= 0:
+    # T_v - I maps x to <x,v> v, so every candidate is lambda * prim, and
+    # column j is <e_j, v> v = lambda^2 <e_j, prim> prim = g prim.
+    pe = prim[j + 1] if j % 2 == 0 else -prim[j - 1]
+    if pe <= 0 or g % pe:
         return []
+    lam2 = g // pe
     lam = isqrt(lam2)
     if lam * lam != lam2:
         return []
@@ -378,8 +363,47 @@ def _recognize_transvection(m: sp.Mat, bound: int) -> list[Vec]:
     return out
 
 
-def _box_vectors(n: int, bound: int):
-    return product(range(-bound, bound + 1), repeat=n)
+def _image_points(m: sp.Mat, bound: int) -> list[Vec]:
+    """Integer vectors with |entries| <= bound in the Q-span of m - I.
+
+    Returns [] when the span has rank above 2.  A span of rank r <= 2 is
+    fixed by r pivot coordinates, so the walk is over their (2b+1)^r
+    values.  With spanning columns u, v and pivots i, j (where the minor
+    delta = u_i v_j - u_j v_i is nonzero), the span vector with x_i = s
+    and x_j = t has x_k = (s A_k + t B_k) / delta by Cramer's rule, for
+    the 2x2 minors A_k = u_k v_j - u_j v_k and B_k = u_i v_k - u_k v_i.
+    A column c lies in the span iff delta c_k = c_i A_k + c_j B_k for
+    every k.  Rank 1 is the same with x_k = s u_k / u_i.
+    """
+    n = len(m)
+    cols = [c for c in ([m[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n))
+            if any(c)]
+    if not cols:
+        return [tuple([0] * n)]
+    u = cols[0]
+    i = next(k for k in range(n) if u[k])
+    span = range(-bound, bound + 1)
+    v, j = next(((v, j) for v in cols for j in range(n) if u[i] * v[j] - u[j] * v[i]),
+                (None, None))
+    if v is None:
+        delta, rows, pivots = u[i], [(x,) for x in u], [(s,) for s in span]
+    else:
+        delta = u[i] * v[j] - u[j] * v[i]
+        rows = [(u[k] * v[j] - u[j] * v[k], u[i] * v[k] - u[k] * v[i]) for k in range(n)]
+        if any(delta * c[k] != c[i] * a + c[j] * b for c in cols for k, (a, b) in enumerate(rows)):
+            return []
+        pivots = [(s, t) for s in span for t in span]
+    points = []
+    for values in pivots:
+        x = []
+        for row in rows:
+            q, r = divmod(sum(s * a for s, a in zip(values, row)), delta)
+            if r or abs(q) > bound:
+                break
+            x.append(q)
+        else:
+            points.append(tuple(x))
+    return points
 
 
 def solve_lantern_classes(
@@ -396,6 +420,24 @@ def solve_lantern_classes(
     of assignments (known positions filled in), in deterministic order.
     Raises InvalidSearch for a bound below 1, for three unknowns, and
     for two unknowns whose box exceeds ``LANTERN_BOX_LIMIT``.
+
+    Two unknowns p < q and a known class k at kpos: the product of the
+    two unknown twists is a matrix M computed from D = T(d0)...T(d3):
+
+    - kpos = 2: M = D T_k^-1 = T(r0) T(r1);
+    - kpos = 0: M = T_k^-1 D = T(r1) T(r2);
+    - kpos = 1: M = D T_k^-1 = T(r0) T_k T(r2) T_k^-1 = T(r0) T(T_k r2),
+      since T_k T_w T_k^-1 = T_{T_k w}.
+
+    So M = T(r_p) T_w for some w, and M - I maps x to
+    <x, w> w + <x, r_p + <w, r_p> w> r_p, whose image lies in
+    span(r_p, w) and contains r_p: it is that plane when r_p and w are
+    independent, and otherwise the line through them (0 when both vanish).
+    Hence rank(M - I) <= 2 (no solution when it is larger) and r_p
+    ranges over the integer points of the image of M - I in the box,
+    at most (2b+1)^rank of them.  Each candidate is still decided by
+    the exact check that T(r_q) is the forced factor, so this only
+    narrows the candidates, never the answers.
     """
     if len(d_names) != 4 or len(right) != 3:
         raise MalformedRelation("lantern needs 4 left names and 3 right entries")
@@ -451,7 +493,9 @@ def solve_lantern_classes(
         )
     p, q = unknown
     kpos = ({0, 1, 2} - {p, q}).pop()
-    for vec in _box_vectors(2 * g, bound):
+    k = [(known[kpos], -1)]
+    m = sp.twist_product(identity, k + d if kpos == 0 else d + k)
+    for vec in _image_points(m, bound):
         # with r_p fixed, the remaining factor is forced; recognize it.
         target = forced_factor(q, {p: vec, kpos: known[kpos]})
         for w in _recognize_transvection(target, bound):

@@ -55,6 +55,14 @@ def _cases() -> dict[str, list[list[str]]]:
          "--bound", "3"],
         ["solve-lantern", "$FIX/genus3_chain.mcg", "c1", "c3", "c5", "c7", "--known", "f1",
          "--bound", "1"],
+        ["solve-lantern", "$FIX/genus2_chain.mcg", "c3", "c5", "c5", "c3", "--known", "?", "c1",
+         "?", "--bound", "2"],
+        ["solve-lantern", "$FIX/genus2_chain.mcg", "c3", "c5", "c5", "c3", "--known", "?", "?",
+         "c1", "--bound", "2"],
+        ["solve-lantern", "$FIX/genus3_chain.mcg", "c1", "c3", "c5", "c7", "--known", "f1",
+         "--bound", "2"],
+        ["solve-lantern", "$FIX/genus3_chain.mcg", "c1", "c3", "c5", "c7", "--known", "f1", "t",
+         "?"],
     ]
     return {"invariants": invariants, "replay": replay, "solve_lantern": lantern}
 
