@@ -250,10 +250,6 @@ def _prefix_products(system, w: Word) -> tuple[list[Mat], list[Mat]]:
     return prefixes, letters
 
 
-def separating_count(system, w: Word) -> int:
-    return sum(1 for letter, sign in w.letters if not any(sp.letter_class(system, letter, sign)))
-
-
 def factorization_signature(system, w: Word) -> int:
     """Signature of the Lefschetz fibration of a positive relator.
 

@@ -24,6 +24,7 @@ from .errors import (
     SubstMismatch,
     UnknownClass,
 )
+from .meyer import factorization_signature
 from .system import CurveSystem, RelationDecl
 from .words import (
     Word,
@@ -116,8 +117,11 @@ def rotate(w: Word, k: int) -> Word:
     """Cyclic rotation, compiled to elementary moves plus a conjugation.
 
     k > 0 moves the last k letters to the front, k < 0 the first |k|
-    letters to the end.  The result is the exact cyclic permutation, so
-    only |k| mod n single rotations are made, in the direction of k.
+    letters to the end.  A single rotation returns the same curves in
+    cyclic order, but a letter may come back in another normal form
+    (``c1 [c2]c1`` rotated by -1 is ``[c1^-1]c2 c1``), so n single
+    rotations need not give back the word itself.  ``rotate(w, k)`` is
+    defined as |k| mod n single rotations in the direction of k.
     """
     _require_positive(w)
     n = len(w.letters)
@@ -236,42 +240,32 @@ class ReplayResult:
         return len(self.final.letters) - len(self.initial.letters)
 
 
-def _image_and_sigma(
-    system: CurveSystem, w: Word, track_sigma: bool
-) -> tuple[Optional[sp.Mat], Optional[int]]:
-    """rho(w) and, when tracked, sigma(w); both None when opaque letters block them.
+def _sigma(system: CurveSystem, w: Word) -> Optional[int]:
+    """sigma(w), or None when opaque letters block it.
 
-    With sigma tracked the signature is the only pass: it ends by
-    checking rho(w) = I and raises NotARelator otherwise.
+    The signature ends by checking rho(w) = I and raises NotARelator
+    otherwise, so it is also the homological check of the word.
     """
-    from .meyer import factorization_signature
-
     try:
-        if not track_sigma:
-            return sp.rho_image(system, w), None
-        sigma = factorization_signature(system, w)
-        return sp.mat_identity(2 * system.genus), sigma
+        return factorization_signature(system, w)
     except UnknownClass:
-        return None, None
+        return None
 
 
-def replay_script(
-    system: CurveSystem,
-    script: DerivationScript,
-    *,
-    track_sigma: bool = True,
-) -> ReplayResult:
+def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult:
     """Apply a script's moves in order with per-step verification.
 
     After every step the word must stay positive and, whenever all
-    letter classes are computable, keep its homological image.  The
-    first failing step raises ScriptError with its index and move.
+    letter classes are computable, be a homological relator; the step's
+    signature is that check.  The first failing step raises ScriptError
+    with its index and move.
     """
     if script.source not in system.words:
         raise ScriptError(0, "source", f"word {script.source!r} is not declared")
     w = system.words[script.source]
     result = ReplayResult(script, w, w)
-    rho_before, result.sigma_initial = _image_and_sigma(system, w, track_sigma)
+    result.sigma_initial = _sigma(system, w)
+    computed = result.sigma_initial is not None  # an earlier word had rho = I
 
     for idx, move in enumerate(script.steps, start=1):
         try:
@@ -293,6 +287,17 @@ def replay_script(
         if not is_positive(w):
             raise ScriptError(idx, str(move), "word is no longer positive")
         record = StepRecord(idx, str(move), len(w.letters), render_word(w))
+        try:
+            record.sigma = _sigma(system, w)
+        except NotARelator:
+            if not computed:
+                raise
+            raise ScriptError(idx, str(move), "homological image changed") from None
+        checked = computed and record.sigma is not None
+        computed = computed or record.sigma is not None
+        # elementary moves, conjugations and verified substitutions are
+        # sound; an assumed relation's step counts only when it was checked
+        record.rho_checked = True
         if isinstance(move, Subst):
             rel = system.relations[move.relation]
             if rel.kind == "lantern":
@@ -300,30 +305,12 @@ def replay_script(
                 record.lantern_reverse = move.direction == "rev"
             if rel.status == "assumed":
                 record.assumed_relation = rel.name
-        try:
-            rho_after, record.sigma = _image_and_sigma(system, w, track_sigma)
-        except NotARelator:
-            # rho(w) != I, and every earlier computable word had rho = I
-            if rho_before is None:
-                raise
-            raise ScriptError(idx, str(move), "homological image changed") from None
-        if rho_before is not None and rho_after is not None:
-            record.rho_checked = rho_after == rho_before
-            if not record.rho_checked:
-                raise ScriptError(idx, str(move), "homological image changed")
-        elif isinstance(move, Subst):
-            rel = system.relations[move.relation]
-            record.rho_checked = True if rel.status == "verified" else None
-        else:
-            # elementary moves and conjugations are sound identities in
-            # the free group; nothing homological left to check
-            record.rho_checked = True
-        rho_before = rho_after if rho_after is not None else rho_before
+                if not checked:
+                    record.rho_checked = None
         result.steps.append(record)
 
     result.final = w
-    if track_sigma:
-        result.sigma_final = _image_and_sigma(system, w, track_sigma)[1]
+    result.sigma_final = _sigma(system, w)
     if script.expect is not None:
         if script.expect not in system.words:
             raise ScriptError(0, "expect", f"word {script.expect!r} is not declared")

@@ -66,23 +66,19 @@ MAX_GENUS = 1000
 # end in a RecursionError instead of a ParseError.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+|\+|-|\^|\[|\]|\(|\)|=>|=|:|@|\?)")
+# a token after optional whitespace, or else (group 2) the character
+# that starts no token
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|-?\d+|\+|-|\^|\[|\]|\(|\)|=>|=|:|@|\?)|(\S))")
 
 
 class _Tokens:
     def __init__(self, text: str, line: int):
         self.line = line
         self.items: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise ParseError("unrecognized token", line, pos + 1, text[pos])
+        for m in _TOKEN.finditer(text):
+            if m.group(2) is not None:
+                raise ParseError("unrecognized token", line, m.start(2) + 1, m.group(2))
             self.items.append((m.group(1), m.start(1) + 1))
-            pos = m.end()
         self.i = 0
 
     def peek(self) -> Optional[str]:

@@ -50,18 +50,21 @@ def normalize_conjugator(system, pairs: Iterable[Pair], base: str) -> tuple[tupl
     conj = list(pairs)
     for _ in range(100000):
         conj = _free_reduce_pairs(conj)
-        if conj and conj[-1][0] == base:
-            conj.pop()
-            continue
-        if (
-            len(conj) >= 2
-            and system.is_meet1(conj[-1][0], base)
-            and conj[-2] == (base, conj[-1][1])
-        ):
-            # t_a^e(b) = t_b^-e(a); keep only when the new twist cancels.
-            base = conj[-1][0]
-            conj = conj[:-2]
-            continue
+        # the tail rules keep conj freely reduced, so they run to a fixed
+        # point within the pass; a pass per firing would cost O(n) each
+        while conj:
+            if conj[-1][0] == base:
+                conj.pop()
+            elif (
+                len(conj) >= 2
+                and system.is_meet1(conj[-1][0], base)
+                and conj[-2] == (base, conj[-1][1])
+            ):
+                # t_a^e(b) = t_b^-e(a); keep only when the new twist cancels.
+                base = conj[-1][0]
+                del conj[-2:]
+            else:
+                break
         kept: list[Pair] = []
         support = {base}
         dropped = False

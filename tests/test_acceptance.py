@@ -149,15 +149,15 @@ def test_criterion_5_fiber_sums(g2, g3):
 
 
 def test_criterion_6_genus3_replays(g3, ex52):
-    res_tau = replay_script(g3, ex52["ex52_tau"], track_sigma=False)
+    res_tau = replay_script(g3, ex52["ex52_tau"])
     assert res_tau.expected_matched
-    res_taup = replay_script(g3, ex52["ex52_tauprime"], track_sigma=False)
+    res_taup = replay_script(g3, ex52["ex52_tauprime"])
     assert res_taup.expected_matched
     lftv = g3.relations["LFTV"]
     assert lftv.status == "verified"
     assert len(find_sites(g3, g3.words["tau"], lftv)) == 3
     assert len(find_sites(g3, g3.words["tauprime"], lftv)) == 3
-    res_blow = replay_script(g3, ex52["ex52_blowdown"], track_sigma=False)
+    res_blow = replay_script(g3, ex52["ex52_blowdown"])
     assert res_blow.expected_matched
     assert res_blow.lantern_forward_count == 3
     # every step's checkable identity holds: elementary moves are

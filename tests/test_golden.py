@@ -64,7 +64,16 @@ def _cases() -> dict[str, list[list[str]]]:
         ["solve-lantern", "$FIX/genus3_chain.mcg", "c1", "c3", "c5", "c7", "--known", "f1", "t",
          "?"],
     ]
-    return {"invariants": invariants, "replay": replay, "solve_lantern": lantern}
+    check = [["check", f"$FIX/{system}"] for system in WORDS]
+    sites = [
+        ["sites", "$FIX/genus3_chain.mcg", "tau", "LFTV"],
+        ["sites", "$FIX/genus3_chain.mcg", "tauprime", "LFTV"],
+        ["sites", "$FIX/genus2_chain.mcg", "rho", "BR12"],
+        ["sites", "$FIX/genus2_chain.mcg", "rho", "LA"],
+        ["sites", "$FIX/relations_g2.mcg", "chainrel", "BR12"],
+    ]
+    return {"invariants": invariants, "replay": replay, "solve_lantern": lantern,
+            "check": check, "sites": sites}
 
 
 def _run(argv: list[str]) -> dict:

@@ -9,6 +9,7 @@ message, never a traceback.
 
 import contextlib
 import io
+import time
 import tracemalloc
 
 import pytest
@@ -59,6 +60,17 @@ def test_expansion_up_to_the_limit_is_accepted():
     assert len(system.words["w"]) == MAX_WORD_LETTERS
     system = parse_system(HEAD)
     assert len(parse_word(system, f"(c1 c2)^{MAX_WORD_LETTERS // 2}")) == MAX_WORD_LETTERS
+
+
+def test_longest_conjugator_normalizes_quickly():
+    # the tail rules fire once per twist here; the longest admitted
+    # conjugator must not cost one normalization pass per firing
+    start = time.perf_counter()
+    system = parse_system(HEAD + f"word w = [c1^{MAX_WORD_LETTERS}]c1\n")
+    assert render(system.words["w"]) == "c1"
+    system = parse_system(HEAD + f"word w = [{'c1 c2 ' * (MAX_WORD_LETTERS // 2)}]c1\n")
+    assert render(system.words["w"]) == "[c1]c2"
+    assert time.perf_counter() - start < 5
 
 
 def test_script_conjugation_is_limited():

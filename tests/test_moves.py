@@ -136,14 +136,14 @@ def test_substitute_with_assumed_relation_is_recorded():
         "curve r = ?\n"
         "meet1 c1 c2\n"
         "lantern LX : c1 c2 c1 c2 => p q r\n"
-        "word w = c1 c2 c1 c2\n"
+        "word w = (c1 c2)^6\n"
     )
     assert s.relations["LX"].status == "assumed"
     scripts = parse_scripts("script go on w:\n  subst LX @ 1 fwd\n", s)
-    result = replay_script(s, scripts["go"], track_sigma=False)
+    result = replay_script(s, scripts["go"])
     assert result.steps[0].assumed_relation == "LX"
     assert result.steps[0].rho_checked is None
-    assert len(result.final) == 3
+    assert len(result.final) == 11
 
 
 def test_find_sites_examples(g2):
@@ -212,20 +212,20 @@ def test_corrupted_script_reports_step(g2, ex53):
 
 
 def test_ex52_tau_replay(g3, ex52):
-    result = replay_script(g3, ex52["ex52_tau"], track_sigma=False)
+    result = replay_script(g3, ex52["ex52_tau"])
     assert result.expected_matched
     assert result.lantern_forward_count == 0
     assert len(result.final) == 36
 
 
 def test_ex52_tauprime_replay(g3, ex52):
-    result = replay_script(g3, ex52["ex52_tauprime"], track_sigma=False)
+    result = replay_script(g3, ex52["ex52_tauprime"])
     assert result.expected_matched
     assert len(result.final) == 33
 
 
 def test_ex52_blowdown_replay(g3, ex52):
-    result = replay_script(g3, ex52["ex52_blowdown"], track_sigma=False)
+    result = replay_script(g3, ex52["ex52_blowdown"])
     assert result.expected_matched
     assert result.lantern_forward_count == 3
     assert len(result.initial) - len(result.final) == 3

@@ -148,3 +148,24 @@ def test_parse_inputs_rejects_invalid_system(tmp_path):
 def test_comments_and_blank_lines():
     s = parse_system("# header\n\ngenus 2\ncurve c1 = a1  # trailing\n")
     assert s.class_of("c1") == (1, 0, 0, 0)
+
+
+
+def test_tokens_and_columns_under_unicode_whitespace():
+    from mcgcalc.parser import _Tokens
+
+    # \x1c is whitespace to Python; an Arabic-Indic digit is a numeral token
+    toks = _Tokens("\tword\x1cw = [c1^-2]c2 => \u0663  ", 4)
+    assert toks.items == [("word", 2), ("w", 7), ("=", 9), ("[", 11), ("c1", 12), ("^", 14),
+                          ("-2", 15), ("]", 17), ("c2", 18), ("=>", 21), ("\u0663", 24)]
+
+
+@pytest.mark.parametrize("line,col,token", [("c1 \u00e9", 4, "\u00e9"), ("\t\t$", 3, "$"),
+                                            ("c1\x1c c2 !c3", 8, "!")])
+def test_unrecognized_token_is_located(line, col, token):
+    from mcgcalc.parser import _Tokens
+
+    with pytest.raises(ParseError) as exc:
+        _Tokens(line, 5)
+    assert (exc.value.line, exc.value.col, exc.value.token) == (5, col, token)
+    assert str(exc.value) == f"line 5, col {col}: unrecognized token (at {token!r})"

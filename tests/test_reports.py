@@ -130,7 +130,7 @@ def test_delta_report_ex53(g2, ex53):
 
 
 def test_delta_report_ex52(g3, ex52):
-    result = replay_script(g3, ex52["ex52_blowdown"], track_sigma=False)
+    result = replay_script(g3, ex52["ex52_blowdown"])
     report = substitution_delta_report(g3, result)
     assert report.k == 3
     assert report.delta_e == -3

@@ -3,8 +3,8 @@ per step.
 
 Every letter [W]c^s acts on homology as T_u^s with u = rho(W)c, so
 ``rho_image`` is one rank-1 update per letter.  The flattened twist
-product over ``flatten_word`` is kept here as its oracle.  With sigma
-tracked, the signature at each replay step is also the step's rho check.
+product over ``flatten_word`` is kept here as its oracle.  The signature
+at each replay step is also the step's rho check.
 """
 
 import random
@@ -42,7 +42,7 @@ def outcome(route, system, w):
 
 def script_words(system, script):
     """The source word and the word after every step of a script."""
-    result = replay_script(system, script, track_sigma=False)
+    result = replay_script(system, script)
     return [result.initial] + [parse_word(system, step.word) for step in result.steps]
 
 
@@ -129,14 +129,13 @@ def round_trip():
     return system, parse_scripts(SCRIPTS, system)
 
 
-@pytest.mark.parametrize("track_sigma", [True, False])
-def test_assumed_round_trip_that_changes_rho_fails_at_its_step(round_trip, track_sigma):
+def test_assumed_round_trip_that_changes_rho_fails_at_its_step(round_trip):
     # LX and LY are assumed (p, q, r are opaque); the word is opaque after
     # step 1 and computable again after step 2, with another image
     system, scripts = round_trip
     assert {r.status for r in system.relations.values()} == {"assumed"}
     with pytest.raises(ScriptError) as exc:
-        replay_script(system, scripts["roundtrip"], track_sigma=track_sigma)
+        replay_script(system, scripts["roundtrip"])
     assert exc.value.step == 2
     assert str(exc.value) == "step 2 (subst LY @ 1 rev): homological image changed"
 
@@ -154,26 +153,25 @@ def test_round_trip_failure_on_the_command_line(round_trip, tmp_path, capsys):
 
 
 def test_first_computable_word_that_is_no_relator(round_trip):
-    # no earlier word had a computable image, so nothing "changed": with
-    # sigma tracked the signature refuses the word, without it the step passes
+    # no earlier word had a computable image, so nothing "changed": the
+    # signature refuses the word
     system, scripts = round_trip
     with pytest.raises(NotARelator):
         replay_script(system, scripts["fromopaque"])
-    result = replay_script(system, scripts["fromopaque"], track_sigma=False)
-    assert [s.rho_checked for s in result.steps] == [None]
 
 
-def test_sigma_tracking_does_not_change_the_rho_verdicts(g2, g3, ex53, ex52):
-    for system, script in [(g2, ex53)] + [(g3, s) for s in ex52.values()]:
-        on = replay_script(system, script)
-        off = replay_script(system, script, track_sigma=False)
-        assert [s.rho_checked for s in on.steps] == [s.rho_checked for s in off.steps]
-        assert [s.word for s in on.steps] == [s.word for s in off.steps]
+def test_computable_source_that_is_no_relator_is_refused():
+    # replay has no mode that walks a computable non-relator: the source
+    # word's signature refuses it before the first step
+    system = parse_system(ROUND_TRIP + "word bad = c1 c2 c1 c2\n")
+    scripts = parse_scripts("script s on bad:\n  subst LX @ 1 fwd\n", system)
+    with pytest.raises(NotARelator):
+        replay_script(system, scripts["s"])
 
 
 def test_tracked_replay_images_only_relation_sides(g2, g3, ex53, ex52, monkeypatch):
-    # with sigma tracked the per-step signature is the rho check; the only
-    # images left are the two sides of each verified substitution
+    # the per-step signature is the rho check; the only images left are
+    # the two sides of each verified substitution
     lengths = []
     original = sp.rho_image
 
@@ -196,7 +194,7 @@ def test_tracked_replay_images_only_relation_sides(g2, g3, ex53, ex52, monkeypat
 
 def test_substitute_compares_sides_only(g2, ex53, monkeypatch):
     # step 3 of ex53 substitutes LA (4 letters => 3) into a 20-letter word
-    word = parse_word(g2, replay_script(g2, ex53, track_sigma=False).steps[1].word)
+    word = parse_word(g2, replay_script(g2, ex53).steps[1].word)
     lengths = []
     original = sp.rho_image
 
@@ -231,6 +229,36 @@ def test_rotation_of_a_conjugated_genus_3_word(g3):
     n = len(w)
     for k in (1, -1, n - 1, n, n + 1, -n - 1, 2 * n + 1):
         assert rotate(w, k).letters == cyclic(w, k)
+
+
+def up_to_sign(u):
+    return max(u, tuple(-x for x in u))
+
+
+def test_rotation_shifts_the_letter_classes(g2, g3):
+    # a rotation keeps the curves in cyclic order, though a letter may come
+    # back in another normal form; its class is the same up to sign
+    rng = random.Random(41)
+    for system in (g2, g3):
+        names = [n for n in system.curve_names if system.class_of(n) is not None]
+        for _ in range(300):
+            letters = []
+            for _ in range(rng.randrange(2, 7)):
+                conj = [(rng.choice(names), rng.choice([1, -1])) for _ in range(rng.randrange(3))]
+                letters.append(system.letter(rng.choice(names), conj))
+            w = system.word(letters)
+            k = rng.randrange(-2 * len(w) - 1, 2 * len(w) + 2)
+            got = [up_to_sign(sp.letter_class(system, l, 1)) for l, _ in rotate(w, k).letters]
+            want = [up_to_sign(sp.letter_class(system, l, 1)) for l, _ in cyclic(w, k)]
+            assert got == want, (repr(w), k)
+
+
+def test_rotation_may_change_normal_forms(g2):
+    # [c1^-1]c2 and [c2]c1 are one curve, as are [c5]c4 and [c4^-1]c5
+    assert repr(rotate(parse_word(g2, "c1 [c2]c1"), -1)) == "[c1^-1]c2 c1"
+    w = parse_word(g2, "[c5]c4 [c4^-1]c5")
+    assert rotate(w, 2) == w
+    assert repr(rotate(rotate(w, 1), 1)) == "[c4^-1]c5 [c4^-1]c5"
 
 
 def test_huge_rotation_runs_as_its_residue(g2):

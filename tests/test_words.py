@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from mcgcalc.errors import SystemMismatch
 from mcgcalc.system import CurveSystem
 from mcgcalc.words import (
+    _free_reduce_pairs,
     Word,
     compose_words,
     free_reduce,
     invert_word,
     is_positive,
+    normalize_conjugator,
     push_forward_word,
     render_word,
     twist_conjugate_letter,
@@ -248,3 +250,82 @@ def test_render_roundtrip(sys2):
         ]
     )
     assert parse_word(sys2, render_word(w)) == w
+
+
+# --- normal form against the one-rule-per-pass oracle -------------------------
+
+
+def normalize_one_rule_per_pass(system, pairs, base):
+    """The letter normal form as a plain fixed point: one rule per pass,
+    with the whole conjugator freely reduced again before every rule."""
+    conj = list(pairs)
+    while True:
+        conj = _free_reduce_pairs(conj)
+        if conj and conj[-1][0] == base:
+            conj.pop()
+            continue
+        if (
+            len(conj) >= 2
+            and system.is_meet1(conj[-1][0], base)
+            and conj[-2] == (base, conj[-1][1])
+        ):
+            base = conj[-1][0]
+            conj = conj[:-2]
+            continue
+        kept = []
+        support = {base}
+        dropped = False
+        for name, sign in reversed(conj):
+            if all(system.is_disjoint(name, s) for s in support):
+                dropped = True
+            else:
+                kept.append((name, sign))
+                support.add(name)
+        if dropped:
+            conj = kept[::-1]
+            continue
+        swapped = False
+        i = 0
+        while i + 1 < len(conj):
+            a, b = conj[i], conj[i + 1]
+            if (
+                a[0] != b[0]
+                and system.is_disjoint(a[0], b[0])
+                and system.decl_index(a[0]) < system.decl_index(b[0])
+            ):
+                conj[i], conj[i + 1] = b, a
+                swapped = True
+                i = max(i - 1, 0)
+            else:
+                i += 1
+        if not swapped:
+            return tuple(conj), base
+
+
+@st.composite
+def conjugators(draw, system):
+    # a few names per example, so that the tail rules fire often
+    alphabet = draw(st.lists(st.sampled_from(system.curve_names), min_size=1, max_size=4,
+                             unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(alphabet), st.sampled_from([1, -1])),
+                          max_size=24))
+    return pairs, draw(st.sampled_from(alphabet))
+
+
+@pytest.mark.parametrize("fixture", ["g2", "g3"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_one_rule_per_pass(request, fixture, data):
+    system = request.getfixturevalue(fixture)
+    pairs, base = data.draw(conjugators(system))
+    assert normalize_conjugator(system, pairs, base) == normalize_one_rule_per_pass(
+        system, pairs, base)
+
+
+def test_normal_form_of_fixture_letters_matches_one_rule_per_pass(g2, g3):
+    for system in (g2, g3):
+        for w in system.words.values():
+            for letter, _ in w.letters:
+                for pairs in (letter.conj, letter.conj + letter.conj):
+                    assert normalize_conjugator(system, pairs, letter.base) == \
+                        normalize_one_rule_per_pass(system, pairs, letter.base)
