@@ -8,6 +8,7 @@ field names of the report types.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -178,7 +179,13 @@ def _cmd_solve_lantern(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` leaves the parser unchanged, so every ``run_command``
+    can share it.
+    """
     ap = argparse.ArgumentParser(
         prog="mcgcalc",
         description="Positive-relator calculus and Lefschetz fibration invariants",

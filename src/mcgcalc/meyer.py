@@ -233,21 +233,31 @@ def _transvection_tau(a: Mat, v: Sequence[int], s: int) -> int:
     return -1 if (num > 0) == (d > 0) else 1
 
 
-def _prefix_products(system, w: Word) -> tuple[list[Mat], list[Mat]]:
-    """rho of every prefix v1...vk of w, and of every letter vk.
+def local_signature(system, pairs) -> tuple[int, Mat]:
+    """sigma_loc of the (letter, sign) pairs v1..vn, and rho(v1...vn).
 
-    The signature no longer needs these; they feed the general-cocycle
-    oracle in the tests.
+    sigma_loc = sum_{k=2..n} tau(rho(v1...v_{k-1}), rho(v_k)) minus the
+    number of null-homologous letters: the signature sum of the letters
+    on their own, started from the identity.  For a relator it is the
+    signature; for the two sides of a relation its difference is the
+    signature shift of a substitution (see the moves module).
+
+    One pass over the letters: rho(v_k) = T_u^s with u the letter's
+    class, so each step is one ``_transvection_tau`` and one rank-1
+    update of the prefix.  Raises UnknownClass at the first opaque
+    letter.
     """
-    identity = sp.mat_identity(2 * system.genus)
-    prefixes, letters = [], []
-    acc = identity
-    for letter, sign in w.letters:
-        twists = list(sp.twist_classes(system, letter.flatten(sign)))
-        acc = sp.twist_product(acc, twists)
-        prefixes.append(acc)
-        letters.append(sp.twist_product(identity, twists))
-    return prefixes, letters
+    prefix = sp.mat_identity(2 * system.genus)
+    total = 0
+    separating = 0
+    for letter, sign in pairs:
+        u = sp.letter_class(system, letter, sign)
+        if any(u):
+            total += _transvection_tau(prefix, u, sign)
+            prefix = sp.twist_product(prefix, ((u, sign),))
+        else:
+            separating += 1
+    return total - separating, prefix
 
 
 def factorization_signature(system, w: Word) -> int:
@@ -262,23 +272,13 @@ def factorization_signature(system, w: Word) -> int:
     NotARelator when the homological image is not the identity (the
     fibration would not close up over S^2).
 
-    One pass over the letters: rho(v_k) = T_u^s with u the letter's
-    class, so each step is one ``_transvection_tau`` and one rank-1
-    update of the prefix.
+    This is ``local_signature`` of the whole word plus the check that
+    its product is the identity.
     """
-    prefix = sp.mat_identity(2 * system.genus)
-    total = 0
-    separating = 0
-    for letter, sign in w.letters:
-        u = sp.letter_class(system, letter, sign)
-        if any(u):
-            total += _transvection_tau(prefix, u, sign)
-            prefix = sp.twist_product(prefix, ((u, sign),))
-        else:
-            separating += 1
-    if prefix != sp.mat_identity(2 * system.genus):
+    sigma, product = local_signature(system, w.letters)
+    if product != sp.mat_identity(2 * system.genus):
         raise NotARelator("word is not a homological relator")
-    return total - separating
+    return sigma
 
 
 def hyperelliptic_signature(g: int, n0: int, nh: Mapping[int, int] | None = None) -> Fraction:

@@ -9,6 +9,37 @@ replaces one side of a declared, validated relation by the other.
 Every move preserves the homological relator property; replay asserts
 that per step whenever the word's classes are computable, and records
 the steps whose soundness rests on an assumed (opaque) relation.
+
+Replay computes one full signature, for the first computable word, and
+after that moves sigma by a shift per step.  For a word v1...vn with
+rho(v1...vn) = I and P_k = rho(v1...vk),
+sigma = sum_k tau(P_{k-1}, rho(v_k)) - s (s null-homologous letters,
+tau(I, .) = 0).  A move that replaces the window X_1...X_m after the
+prefix P = P_j by Y_1...Y_l with the same product leaves every P_k
+outside the window unchanged.  Inside it, induction on the cocycle
+identity tau(A, B) + tau(AB, C) = tau(A, BC) + tau(B, C) gives
+
+    sum_{k=1..m} tau(P X_1...X_{k-1}, X_k)
+        = tau(P, X_1...X_m) + sum_{k=2..m} tau(X_1...X_{k-1}, X_k),
+
+and tau(P, X_1...X_m) = tau(P, Y_1...Y_l).  So sigma moves by
+sigma_loc(Y) - sigma_loc(X), where sigma_loc is the window's own tau
+sum minus its null-homologous letters (``meyer.local_signature``),
+wherever the window sits.  For a substitution that is a constant of
+the relation and the direction (``relation_shift``, the signature of
+the relation in the sense of Endo-Nagami): +1 for a forward lantern,
+0 for braid and commute, +7 for a forward 2-chain, and the negative in
+reverse.  An elementary move (x, y) -> (y, [y^-1]x) shifts by
+tau(Y, Y^-1 X Y) - tau(X, Y) = 0, because tau is invariant under
+conjugation (here by Y) and symmetric, and T_y^-1 keeps a class zero
+or nonzero.  A simultaneous conjugation conjugates every P_k and
+every letter, so it shifts by 0 as well, and so does a rotation,
+which is compiled from those two.
+
+The same window argument makes the rho check local: with rho(old) = I,
+rho(new) = I iff the new window has the product of the old one.  A
+conjugation or rotation changes every letter, so its whole product is
+compared with I.
 """
 
 from __future__ import annotations
@@ -24,7 +55,7 @@ from .errors import (
     SubstMismatch,
     UnknownClass,
 )
-from .meyer import factorization_signature
+from .meyer import factorization_signature, local_signature
 from .system import CurveSystem, RelationDecl
 from .words import (
     Word,
@@ -204,6 +235,21 @@ def find_sites(system: CurveSystem, w: Word, rel: RelationDecl) -> list[tuple[in
     return sorted(sites)
 
 
+def relation_shift(system: CurveSystem, rel: RelationDecl, direction: str) -> int:
+    """sigma(after) - sigma(before) for substituting rel in ``direction``.
+
+    sigma_loc(target side) - sigma_loc(source side), which by the
+    window argument in the module docstring does not depend on the word
+    or the position.  Raises UnknownClass for a relation with opaque
+    letters.
+    """
+    src, dst = _side(rel, direction)
+    return (
+        local_signature(system, [(l, 1) for l in dst])[0]
+        - local_signature(system, [(l, 1) for l in src])[0]
+    )
+
+
 @dataclass
 class StepRecord:
     index: int
@@ -240,34 +286,41 @@ class ReplayResult:
         return len(self.final.letters) - len(self.initial.letters)
 
 
-def _sigma(system: CurveSystem, w: Word) -> Optional[int]:
-    """sigma(w), or None when opaque letters block it.
-
-    The signature ends by checking rho(w) = I and raises NotARelator
-    otherwise, so it is also the homological check of the word.
-    """
-    try:
-        return factorization_signature(system, w)
-    except UnknownClass:
-        return None
+def _classes(system: CurveSystem, pairs) -> list:
+    """(u, s) with rho(letter^s) = T_u^s for each pair, or None when opaque."""
+    out = []
+    for letter, sign in pairs:
+        try:
+            out.append((sp.letter_class(system, letter, sign), sign))
+        except UnknownClass:
+            out.append(None)
+    return out
 
 
 def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult:
     """Apply a script's moves in order with per-step verification.
 
     After every step the word must stay positive and, whenever all
-    letter classes are computable, be a homological relator; the step's
-    signature is that check.  The first failing step raises ScriptError
-    with its index and move.
+    letter classes are computable, be a homological relator.  The first
+    computable word gets a full signature, which also checks rho = I.
+    After that each step compares the products of the letter classes
+    it removed and inserted, and moves sigma by 0 or by the relation's
+    shift (see the module docstring).  The first failing step raises
+    ScriptError with its index and move.
     """
     if script.source not in system.words:
         raise ScriptError(0, "source", f"word {script.source!r} is not declared")
     w = system.words[script.source]
     result = ReplayResult(script, w, w)
-    result.sigma_initial = _sigma(system, w)
-    computed = result.sigma_initial is not None  # an earlier word had rho = I
+    identity = sp.mat_identity(2 * system.genus)
+    classes = _classes(system, w.letters)  # one entry per position of w
+    sigma = None if None in classes else factorization_signature(system, w)
+    result.sigma_initial = sigma
+    computed = sigma is not None  # an earlier word had rho = I
+    shifts: dict[tuple[str, str], int] = {}
 
     for idx, move in enumerate(script.steps, start=1):
+        before = w
         try:
             if isinstance(move, Elem):
                 w = elementary_transformation(w, move.index, move.direction)
@@ -287,19 +340,49 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
         if not is_positive(w):
             raise ScriptError(idx, str(move), "word is no longer positive")
         record = StepRecord(idx, str(move), len(w.letters), render_word(w))
-        try:
-            record.sigma = _sigma(system, w)
-        except NotARelator:
-            if not computed:
-                raise
-            raise ScriptError(idx, str(move), "homological image changed") from None
-        checked = computed and record.sigma is not None
-        computed = computed or record.sigma is not None
+        # the move replaced the old word's letters [start, stop) by the new
+        # word's [start, stop + len(w) - len(before)); only their classes change
+        if isinstance(move, Elem):
+            start, stop = move.index - 1, move.index + 1
+        elif isinstance(move, Subst):
+            start = move.position - 1
+            stop = start + len(_side(rel, move.direction)[0])
+        else:
+            start, stop = 0, len(before.letters)
+        removed = classes[start:stop]
+        inserted = _classes(system, w.letters[start : stop + len(w.letters) - len(before.letters)])
+        classes[start:stop] = inserted
+        if None in classes:
+            record.sigma = None
+        elif sigma is None:
+            # computable for the first time: one full signature
+            try:
+                record.sigma = factorization_signature(system, w)
+            except NotARelator:
+                if not computed:
+                    raise
+                raise ScriptError(idx, str(move), "homological image changed") from None
+        else:
+            # rho(before) = I, so rho(w) = I iff the window keeps its
+            # product, which is I when the window is the whole word
+            whole = len(removed) == len(before.letters)
+            old = identity if whole else sp.twist_product(identity, removed)
+            if sp.twist_product(identity, inserted) != old:
+                raise ScriptError(idx, str(move), "homological image changed")
+            shift = 0  # elementary moves, conjugations and rotations
+            if isinstance(move, Subst):
+                key = (rel.name, move.direction)
+                if key not in shifts:
+                    shifts[key] = relation_shift(system, rel, move.direction)
+                shift = shifts[key]
+            record.sigma = sigma + shift
+        sigma = record.sigma
+        checked = computed and sigma is not None
+        computed = computed or sigma is not None
         # elementary moves, conjugations and verified substitutions are
         # sound; an assumed relation's step counts only when it was checked
         record.rho_checked = True
         if isinstance(move, Subst):
-            rel = system.relations[move.relation]
             if rel.kind == "lantern":
                 record.lantern_forward = move.direction == "fwd"
                 record.lantern_reverse = move.direction == "rev"
@@ -310,7 +393,7 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
         result.steps.append(record)
 
     result.final = w
-    result.sigma_final = _sigma(system, w)
+    result.sigma_final = sigma  # the last step's, or sigma_initial without steps
     if script.expect is not None:
         if script.expect not in system.words:
             raise ScriptError(0, "expect", f"word {script.expect!r} is not declared")

@@ -212,3 +212,42 @@ def test_nesting_limit():
     for depth in (MAX_NESTING + 1, 5000):
         with pytest.raises(ParseError, match=f"nest deeper than {MAX_NESTING}"):
             parse_system(nested(depth))
+
+
+# arbitrary text, not only the grammar's tokens: raw bytes read as
+# Latin-1 (every byte a character, control characters and U+0085 among
+# them) and arbitrary Unicode strings, alone or after a valid header
+any_text = st.one_of(st.binary(max_size=200).map(lambda b: b.decode("latin-1")), st.text(max_size=200))
+any_system_text = st.tuples(st.sampled_from(["", HEADER]), any_text).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=any_system_text)
+def test_arbitrary_system_text_raises_only_parse_errors(text):
+    try:
+        parse_system(text)
+    except McgError as exc:
+        assert isinstance(exc, (ParseError, InvalidRelation)), repr(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.tuples(st.sampled_from(["", SCRIPT_HEADER]), any_text).map("".join))
+def test_arbitrary_script_text_raises_only_parse_errors(text):
+    system = parse_system(HEADER)
+    try:
+        parse_scripts(text, system)
+    except McgError as exc:
+        assert isinstance(exc, ParseError), repr(exc)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(system_bytes=st.binary(max_size=200), script_bytes=st.binary(max_size=200),
+       header=st.sampled_from([b"", HEADER.encode()]))
+def test_every_command_answers_0_1_or_2_on_arbitrary_bytes(tmp_path, system_bytes, script_bytes, header):
+    system, script = tmp_path / "s.mcg", tmp_path / "s.script"
+    system.write_bytes(header + system_bytes)
+    script.write_bytes(SCRIPT_HEADER.encode() + script_bytes)
+    for argv in commands(str(system), str(script)) + [["replay", G2, str(script)]]:
+        code, _out, err = run(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err

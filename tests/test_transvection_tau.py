@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from mcgcalc.errors import NotARelator, UnknownClass
-from mcgcalc.meyer import _prefix_products, _transvection_tau, factorization_signature, meyer_tau
+from mcgcalc.meyer import _transvection_tau, factorization_signature, meyer_tau
 from mcgcalc.parser import parse_system
 from mcgcalc.symplectic import (
     mat_identity,
@@ -16,7 +16,7 @@ from mcgcalc.symplectic import (
     twist_product,
 )
 from tests.test_symplectic import rank_over_q
-from tests.test_twist_product import hurwitz_walk, random_twists, relator_cases
+from tests.test_twist_product import hurwitz_walk, prefix_products, random_twists, relator_cases
 
 
 def random_symplectic(rng, n):
@@ -87,7 +87,7 @@ def test_opaque_letter_raises_the_flattened_error(name):
     system = parse_system(OPAQUE)
     w = system.words[name]
     with pytest.raises(UnknownClass) as flat:
-        _prefix_products(system, w)
+        prefix_products(system, w)
     with pytest.raises(UnknownClass) as fast:
         factorization_signature(system, w)
     assert str(fast.value) == str(flat.value)

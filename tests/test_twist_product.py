@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mcgcalc.meyer import _prefix_products, factorization_signature, meyer_tau
+from mcgcalc.meyer import factorization_signature, meyer_tau
 from mcgcalc.moves import elementary_transformation
 from mcgcalc.symplectic import (
     is_symplectic,
@@ -13,6 +13,7 @@ from mcgcalc.symplectic import (
     mat_mul,
     pairing,
     transvection,
+    twist_classes,
     twist_product,
 )
 
@@ -76,9 +77,23 @@ def relator_cases(g2, g3, rel_g2):
     return cases
 
 
+def prefix_products(system, w):
+    """rho of every prefix v1...vk of w, and of every letter vk, from the
+    flattened twists of each letter (the general-cocycle oracle's input)."""
+    identity = mat_identity(2 * system.genus)
+    prefixes, letters = [], []
+    acc = identity
+    for letter, sign in w.letters:
+        twists = list(twist_classes(system, letter.flatten(sign)))
+        acc = twist_product(acc, twists)
+        prefixes.append(acc)
+        letters.append(twist_product(identity, twists))
+    return prefixes, letters
+
+
 def test_signature_prefixes_are_symplectic_and_match_guarded_tau(g2, g3, rel_g2):
     for system, w in relator_cases(g2, g3, rel_g2):
-        prefixes, letters = _prefix_products(system, w)
+        prefixes, letters = prefix_products(system, w)
         assert prefixes[-1] == mat_identity(2 * system.genus)
         for m in prefixes + letters:
             assert is_symplectic(m)
