@@ -12,7 +12,15 @@ import functools
 import json
 import sys
 
-from .errors import McgError, NotARelator, ParseError, ScriptError, UnknownClass
+from .errors import (
+    InvalidSearch,
+    McgError,
+    NotARelator,
+    ParseError,
+    ScriptError,
+    UnknownClass,
+    UnknownCurve,
+)
 from .moves import find_sites, replay_script
 from .parser import parse_scripts, parse_system, read_source
 from .reports import full_report, substitution_delta_report
@@ -151,7 +159,7 @@ def _cmd_solve_lantern(args) -> int:
     right = [None if k == "?" else k for k in known]
     try:
         solutions = solve_lantern_classes(system, args.d, right, bound=args.bound)
-    except McgError as exc:
+    except (InvalidSearch, UnknownCurve) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     g = system.genus

@@ -187,12 +187,14 @@ def substitute(
 ) -> Word:
     """Replace the relation's source side at ``position`` by its target.
 
-    Matching is syntactic on letter normal forms.  The relation must
-    have been validated (or recorded as assumed for opaque curves).
+    Matching is syntactic on letter normal forms.  The relation must be
+    the one ``system`` holds under its name: ``add_relation`` checked its
+    homological identity (or recorded it as assumed for opaque curves),
+    so it is not checked again here.
     """
     _require_positive(w)
-    if rel.status not in ("verified", "assumed"):
-        raise InvalidRelation(f"relation {rel.name} is not validated")
+    if system.relations.get(rel.name) is not rel:
+        raise InvalidRelation(f"relation {rel.name} is not a relation of this system")
     src, dst = _side(rel, direction)
     if not (1 <= position <= len(w.letters) - len(src) + 1):
         raise IndexError(f"substitution position {position} out of range")
@@ -207,18 +209,6 @@ def substitute(
         + tuple((l, 1) for l in dst)
         + w.letters[position - 1 + len(src) :]
     )
-    if rel.status == "verified":
-        # the window is src letter for letter, so rho(w) is kept iff rho(src) = rho(dst)
-        try:
-            src_image, dst_image = (
-                sp.rho_image(w.system, Word(w.system, [(l, 1) for l in side])) for side in (src, dst)
-            )
-        except UnknownClass:
-            src_image = dst_image = None
-        if src_image != dst_image:
-            raise InvalidRelation(
-                f"relation {rel.name}: substitution changed the homological image"
-            )
     return Word(w.system, letters, _reduced=True)
 
 

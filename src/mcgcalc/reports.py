@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import meyer, symplectic as sp
-from .errors import NotARelator, UnknownClass
+from .errors import NotARelator, SystemMismatch, UnknownClass
 from .moves import ReplayResult
 from .system import CurveSystem
 from .words import Word, is_positive, push_forward_word
@@ -125,8 +125,6 @@ def fiber_sum(system: CurveSystem, left: Word, right: Word, conjugator: Word) ->
     system's assumption list by the caller if desired).
     """
     if left.system is not system or right.system is not system:
-        from .errors import SystemMismatch
-
         raise SystemMismatch("fiber summands must live in the given system")
     for w, name in ((left, "left"), (right, "right")):
         if _relator_status(system, w) == "failed":

@@ -15,6 +15,7 @@ check the products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -199,49 +200,47 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
-    """Exact integer Smith normal form.
+def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The invariant factors of an integer matrix: d_1 | d_2 | ... | d_r.
 
-    Returns (U, D, V) with U A V = D, U and V unimodular, and D diagonal
-    with nonnegative entries forming a divisibility chain.
+    These are the nonzero entries of the Smith normal form D = U A V, as
+    positive ints, r the rank of ``a``.  Row and column operations reduce
+    ``a`` to a diagonal; one sweep then makes the diagonal a divisibility
+    chain, since diag(x, y) ~ diag(gcd, lcm) (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  U and V are not kept.
     """
     d = [list(row) for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # before step t, rows and columns 0..t-1 are zero off the diagonal,
+    # so the operations of step t touch only the block d[t:][t:]
 
     def clear_row_entry(t, i):
         # zero d[i][t] against pivot d[t][t]; leaves the pivot row alone
         # when the pivot divides, otherwise installs the gcd at (t,t)
         at, ai = d[t][t], d[i][t]
+        rt, ri = d[t], d[i]
         if ai % at == 0:
             q = ai // at
-            for mat in (d, u):
-                rt, ri = mat[t], mat[i]
-                for k in range(len(rt)):
-                    ri[k] -= q * rt[k]
+            for k in range(t, n):
+                ri[k] -= q * rt[k]
         else:
             g, x, y = _xgcd(at, ai)
             p, q = -(ai // g), at // g
-            for mat in (d, u):
-                rt, ri = mat[t], mat[i]
-                for k in range(len(rt)):
-                    rt[k], ri[k] = x * rt[k] + y * ri[k], p * rt[k] + q * ri[k]
+            for k in range(t, n):
+                rt[k], ri[k] = x * rt[k] + y * ri[k], p * rt[k] + q * ri[k]
 
     def clear_col_entry(t, j):
         at, aj = d[t][t], d[t][j]
         if aj % at == 0:
             q = aj // at
-            for mat in (d, v):
-                for row in mat:
-                    row[j] -= q * row[t]
+            for row in d[t:]:
+                row[j] -= q * row[t]
         else:
             g, x, y = _xgcd(at, aj)
             p, q = -(aj // g), at // g
-            for mat in (d, v):
-                for row in mat:
-                    row[t], row[j] = x * row[t] + y * row[j], p * row[t] + q * row[j]
+            for row in d[t:]:
+                row[t], row[j] = x * row[t] + y * row[j], p * row[t] + q * row[j]
 
     t = 0
     while True:
@@ -253,13 +252,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
         if pivot is None:
             break
         _, pi, pj = pivot
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for mat in (d, v):
-                for row in mat:
-                    row[t], row[pj] = row[pj], row[t]
+        d[t], d[pi] = d[pi], d[t]
+        for row in d[t:]:
+            row[t], row[pj] = row[pj], row[t]
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
@@ -274,47 +269,20 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
                 break
         t += 1
 
-    r = t
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            ai, aj = d[i][i], d[i + 1][i + 1]
-            if aj % ai:
-                # add col i+1 to col i, then re-clear the 2x2 block
-                for mat in (d, v):
-                    for row in mat:
-                        row[i] += row[i + 1]
-                while d[i + 1][i] or d[i][i + 1]:
-                    if d[i + 1][i]:
-                        clear_row_entry(i, i + 1)
-                    if d[i][i + 1]:
-                        clear_col_entry(i, i + 1)
-                changed = True
-    for i in range(r):
-        if d[i][i] < 0:
-            for k in range(m):
-                u[i][k] = -u[i][k]
-            for k in range(n):
-                d[i][k] = -d[i][k]
-    return (
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in d),
-        tuple(tuple(row) for row in v),
-    )
+    factors = [abs(d[i][i]) for i in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            g = math.gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
+    return tuple(factors)
 
 
 def cokernel(a: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroup:
     """Z^ambient_rank modulo the column span of ``a``."""
-    if not a or not a[0]:
-        return AbelianGroup(ambient_rank)
-    _, d, _ = smith_normal_form(a)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    nonzero = [x for x in diag if x]
+    factors = smith_normal_form(a)
     return AbelianGroup(
-        rank=ambient_rank - len(nonzero),
-        torsion=tuple(x for x in nonzero if x > 1),
+        rank=ambient_rank - len(factors),
+        torsion=tuple(x for x in factors if x > 1),
     )
 
 
@@ -326,8 +294,6 @@ def h1_total_space(system, w: Word) -> AbelianGroup:
     """
     g = system.genus
     cols = [letter_class(system, letter, sign) for letter, sign in w.letters]
-    if not cols:
-        return AbelianGroup(2 * g)
     matrix = [[col[i] for col in cols] for i in range(2 * g)]
     return cokernel(matrix, 2 * g)
 

@@ -44,6 +44,7 @@ from mcgcalc.symplectic import (
 )
 from mcgcalc.words import is_positive
 
+from tests import snf_oracle
 from tests.test_symplectic import rank_over_q
 
 
@@ -266,15 +267,17 @@ def test_criterion_7e_snf_oracle():
     for _ in range(200):
         cols = rng.randrange(1, 9)
         a = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(4)]
-        u, d, v = smith_normal_form(a)
+        u, d, v = snf_oracle.smith_normal_form(a)
         assert mat_mul(mat_mul(u, tuple(tuple(r) for r in a)), v) == d
         diag = [d[i][i] for i in range(min(4, cols))]
         nonzero = [x for x in diag if x]
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
         assert len(nonzero) == rank_over_q(a)
+        assert smith_normal_form(a) == tuple(nonzero)
     _ok("[criterion 7e] SNF (U A V = D, divisibility chain) agrees with the "
-        "rank-over-Q oracle on 200 random 4xn matrices")
+        "rank-over-Q oracle on 200 random 4xn matrices, and the invariant "
+        "factors equal its nonzero diagonal")
 
 
 # -- criterion 8: CLI golden checks ---------------------------------------------

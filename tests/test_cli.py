@@ -118,6 +118,24 @@ def test_solve_lantern(capsys):
     assert "a1 + 2 a2" in out
 
 
+def test_solve_lantern_opaque_curve_exits_1(capsys):
+    # a declared curve without a class is a verification failure, as for
+    # invariants on an opaque word, not a usage error
+    for argv in (["c1", "c3", "c5", "c8", "--known", "f1"],
+                 ["c1", "c3", "c5", "c7", "--known", "x1"]):
+        code, out, err = run(capsys, "solve-lantern", G3, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: curve ") and "has no declared class" in err
+
+
+def test_solve_lantern_bad_arguments_exit_2(capsys):
+    for argv in (["c1", "c3", "c5", "nope", "--known", "f1"],
+                 ["c1", "c3", "c5", "c7", "--known", "f1", "--bound", "0"]):
+        code, out, err = run(capsys, "solve-lantern", G3, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+
+
 def test_usage_error_exits_2(capsys):
     code, _, _ = run(capsys, "nope")
     assert code == 2

@@ -13,9 +13,8 @@ import pytest
 
 from mcgcalc import symplectic as sp
 from mcgcalc.cli import run_command
-from mcgcalc.errors import NotARelator, ScriptError, UnknownClass
+from mcgcalc.errors import InvalidRelation, NotARelator, ScriptError, UnknownClass
 from mcgcalc.moves import (
-    Subst,
     elementary_transformation,
     replay_script,
     rotate,
@@ -169,42 +168,45 @@ def test_computable_source_that_is_no_relator_is_refused():
         replay_script(system, scripts["s"])
 
 
-def test_tracked_replay_images_only_relation_sides(g2, g3, ex53, ex52, monkeypatch):
-    # the per-step signature is the rho check; the only images left are
-    # the two sides of each verified substitution
-    lengths = []
+def count_rho_images(monkeypatch):
+    calls = []
     original = sp.rho_image
 
     def counting(system, w):
-        lengths.append(len(w))
+        calls.append(len(w))
         return original(system, w)
 
     monkeypatch.setattr(sp, "rho_image", counting)
+    return calls
+
+
+def test_replay_computes_no_rho_image(g2, g3, ex53, ex52, monkeypatch):
+    # replay checks each step on the changed window's letter classes, and
+    # a verified substitution trusts the identity add_relation checked
+    calls = count_rho_images(monkeypatch)
     for system, script in [(g2, ex53)] + [(g3, s) for s in ex52.values()]:
-        lengths.clear()
         replay_script(system, script)
-        sides = []
-        for move in script.steps:
-            if isinstance(move, Subst):
-                rel = system.relations[move.relation]
-                if rel.status == "verified":
-                    sides += [len(rel.left), len(rel.right)]
-        assert sorted(lengths) == sorted(sides)
+    assert calls == []
 
 
-def test_substitute_compares_sides_only(g2, ex53, monkeypatch):
+def test_substitute_computes_no_rho_image(g2, ex53, monkeypatch):
     # step 3 of ex53 substitutes LA (4 letters => 3) into a 20-letter word
     word = parse_word(g2, replay_script(g2, ex53).steps[1].word)
-    lengths = []
-    original = sp.rho_image
+    calls = count_rho_images(monkeypatch)
+    out = substitute(g2, word, g2.relations["LA"], 9, "fwd")
+    assert calls == []
+    assert len(out) == len(word) - 1
 
-    def counting(system, w):
-        lengths.append(len(w))
-        return original(system, w)
 
-    monkeypatch.setattr(sp, "rho_image", counting)
-    substitute(g2, word, g2.relations["LA"], 9, "fwd")
-    assert sorted(lengths) == [3, 4]
+def test_substitute_refuses_relations_the_system_does_not_hold(g2, rel_g2):
+    # an equal copy of a verified relation, or another system's relation
+    # of the same name, was not validated by this system
+    rho = g2.words["rho"]
+    copy = g2.relations["BR12"].with_status("verified")
+    assert copy == g2.relations["BR12"]
+    for rel in (copy, rel_g2.relations["BR12"]):
+        with pytest.raises(InvalidRelation):
+            substitute(g2, rho, rel, 1, "fwd")
 
 
 # --- rotations --------------------------------------------------------------

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mcgcalc.errors import DimensionError, UnknownClass
+from mcgcalc.parser import parse_system
 from mcgcalc.symplectic import (
     AbelianGroup,
     cokernel,
     h1_total_space,
     is_homological_relator,
     is_symplectic,
+    letter_class,
     mat_identity,
     mat_mul,
     mat_vec,
@@ -20,6 +23,10 @@ from mcgcalc.symplectic import (
     transvect,
     transvection,
 )
+
+from tests import snf_oracle
+from tests.conftest import load_fixture_system
+from tests.test_incremental_replay import chain_text
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -197,7 +204,7 @@ def test_snf_properties_random():
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 6)
         a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        u, d, v = smith_normal_form(a)
+        u, d, v = snf_oracle.smith_normal_form(a)
         assert mat_mul(mat_mul(u, tuple(tuple(r) for r in a)), v) == d
         assert is_unimodular([list(r) for r in u])
         assert is_unimodular([list(r) for r in v])
@@ -211,6 +218,7 @@ def test_snf_properties_random():
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
         assert len(nonzero) == rank_over_q(a)
+        assert smith_normal_form(a) == tuple(nonzero)
 
 
 def test_snf_rank_oracle_4xn():
@@ -218,9 +226,64 @@ def test_snf_rank_oracle_4xn():
     for _ in range(60):
         cols = rng.randrange(1, 9)
         a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(4)]
-        _, d, _ = smith_normal_form(a)
-        nonzero = sum(1 for i in range(min(4, cols)) if d[i][i])
-        assert nonzero == rank_over_q(a)
+        _, d, _ = snf_oracle.smith_normal_form(a)
+        nonzero = tuple(d[i][i] for i in range(min(4, cols)) if d[i][i])
+        assert len(nonzero) == rank_over_q(a)
+        assert smith_normal_form(a) == nonzero
+
+
+def random_snf_input(rng):
+    """A seeded integer matrix: small or large entries, and every third
+    one of rank below its row count (a row that combines two others)."""
+    rows, cols = rng.randrange(1, 7), rng.randrange(1, 10)
+    size = rng.choice((3, 6, 1000))
+    a = [[rng.randrange(-size, size + 1) for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and rng.random() < 1 / 3:
+        x, y = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        a[-1] = [x * p + y * q for p, q in zip(a[0], a[1])]
+    return a
+
+
+def class_matrix(system, word):
+    """The 2g x n matrix whose columns are the letters' classes."""
+    cols = [letter_class(system, letter, sign) for letter, sign in word.letters]
+    return [[col[i] for col in cols] for i in range(2 * system.genus)]
+
+
+def test_invariant_factors_match_oracle_random():
+    rng = random.Random(2024)
+    for _ in range(2400):
+        a = random_snf_input(rng)
+        factors = smith_normal_form(a)
+        assert factors == snf_oracle.invariant_factors(a), a
+        assert all(x > 0 for x in factors)
+        assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+
+
+def fixture_systems():
+    yield from (load_fixture_system(name) for name in
+                ("genus2_chain.mcg", "genus3_chain.mcg", "relations_g2.mcg"))
+    yield parse_system((Path(__file__).parent / "data" / "h1_torsion.mcg").read_text())
+
+
+def test_invariant_factors_match_oracle_on_fixture_words():
+    checked = []
+    for system in fixture_systems():
+        for name, word in system.words.items():
+            try:
+                a = class_matrix(system, word)
+            except UnknownClass:
+                continue  # opaque letters have no class
+            assert smith_normal_form(a) == snf_oracle.invariant_factors(a), name
+            checked.append(name)
+    assert checked == ["rho", "rhoprime", "sigma3", "chainrel", "rho", "w", "z"]
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_invariant_factors_match_oracle_on_ladder(g):
+    system = parse_system(chain_text(g))
+    a = class_matrix(system, system.words["w"])
+    assert smith_normal_form(a) == snf_oracle.invariant_factors(a) == (1,) * (2 * g)
 
 
 def test_cokernel_examples():
