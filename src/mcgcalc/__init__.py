@@ -59,11 +59,8 @@ from .symplectic import (
     transvection,
 )
 from .system import (
-    Classification,
     CurveSystem,
     RelationDecl,
-    classify_letter,
-    homology_class_of_letter,
     solve_lantern_classes,
     validate_relation_decl,
     validate_system,

@@ -251,7 +251,7 @@ def local_signature(system, pairs) -> tuple[int, Mat]:
     total = 0
     separating = 0
     for letter, sign in pairs:
-        u = sp.letter_class(system, letter, sign)
+        u = sp.letter_class(system, letter)
         if any(u):
             total += _transvection_tau(prefix, u, sign)
             prefix = sp.twist_product(prefix, ((u, sign),))

@@ -53,7 +53,6 @@ from .errors import (
     NotARelator,
     ScriptError,
     SubstMismatch,
-    UnknownClass,
 )
 from .meyer import factorization_signature, local_signature
 from .system import CurveSystem, RelationDecl
@@ -271,19 +270,13 @@ class ReplayResult:
     def lantern_reverse_count(self) -> int:
         return sum(1 for s in self.steps if s.lantern_reverse)
 
-    @property
-    def delta_length(self) -> int:
-        return len(self.final.letters) - len(self.initial.letters)
-
 
 def _classes(system: CurveSystem, pairs) -> list:
     """(u, s) with rho(letter^s) = T_u^s for each pair, or None when opaque."""
     out = []
     for letter, sign in pairs:
-        try:
-            out.append((sp.letter_class(system, letter, sign), sign))
-        except UnknownClass:
-            out.append(None)
+        u = system.homology_class_of_letter(letter)
+        out.append(None if u is None else (u, sign))
     return out
 
 

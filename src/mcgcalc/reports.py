@@ -97,16 +97,19 @@ def singular_fiber_census(system: CurveSystem, w: Word) -> Census:
     sep_unknown = 0
     class_unknown = 0
     for letter, _ in w.letters:
-        c = system.classify_letter(letter)
-        if c.kind == "nonseparating":
+        cls = system.homology_class_of_letter(letter)
+        if cls is None:
+            class_unknown += 1
+        elif any(cls):
             n0 += 1
-        elif c.kind == "separating":
-            if c.h is None:
+        else:
+            # a null-homologous letter is separating; at genus 2 its type
+            # can only be 1, beyond that it is the declared septype
+            h = 1 if system.genus == 2 else system.septype.get(letter.base)
+            if h is None:
                 sep_unknown += 1
             else:
-                sep[c.h] = sep.get(c.h, 0) + 1
-        else:
-            class_unknown += 1
+                sep[h] = sep.get(h, 0) + 1
     return Census(n0, tuple(sorted(sep.items())), sep_unknown, class_unknown)
 
 

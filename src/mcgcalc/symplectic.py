@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, UnknownClass
 from .words import Letter, Word
@@ -123,40 +123,35 @@ def transvection(a: Sequence[int], sign: int = 1) -> Mat:
     return twist_product(mat_identity(n), ((a, sign),))
 
 
-def twist_classes(system, pairs) -> Iterator[tuple[Vec, int]]:
-    """The (class, sign) factors of a flattened twist sequence."""
-    for name, sign in pairs:
-        cls = system.class_of(name)
-        if cls is None:
-            raise UnknownClass(f"curve {name!r} has no declared homology class")
-        yield cls, sign
+def letter_class(system, letter: Letter) -> Vec:
+    """u with rho(letter^s) = T_u^s for either sign s: the class of the
+    twisted curve.
 
-
-def letter_class(system, letter: Letter, sign: int = 1) -> Vec:
-    """u with rho(letter^sign) = T_u^sign: the class of the twisted curve.
-
-    This is the one route from a letter to Sp(2g, Z).  For an opaque
-    letter it raises the UnknownClass of the flattened twist sequence,
-    naming the first undeclared curve of ``letter.flatten(sign)``.
+    The raising view of ``CurveSystem.homology_class_of_letter`` for the
+    Sp(2g, Z) consumers.  An opaque letter raises UnknownClass naming its
+    first undeclared curve in conjugator-then-base order.  That is also
+    the first undeclared twist of ``letter.flatten(s)``: free reduction
+    of the (freely reduced) conjugator around the base twist cancels
+    only base-named twists, and one base twist survives.
     """
     u = system.homology_class_of_letter(letter)
     if u is None:
-        for _ in twist_classes(system, letter.flatten(sign)):
-            pass
-        raise UnknownClass(f"letter {letter!r} has no computable class")
+        names = [name for name, _ in letter.conj] + [letter.base]
+        opaque = next(name for name in names if system.class_of(name) is None)
+        raise UnknownClass(f"curve {opaque!r} has no declared homology class")
     return u
 
 
 def rho_letter(system, letter: Letter, sign: int = 1) -> Mat:
     """Image of a letter: rho([W]c) = rho(W) T_c rho(W)^-1 = T_u, u = rho(W)c."""
-    return transvection(letter_class(system, letter, sign), sign)
+    return transvection(letter_class(system, letter), sign)
 
 
 def rho_image(system, w: Word) -> Mat:
     """Multiplicative image of a word: one rank-1 update per letter."""
     return twist_product(
         mat_identity(2 * system.genus),
-        ((letter_class(system, letter, sign), sign) for letter, sign in w.letters),
+        ((letter_class(system, letter), sign) for letter, sign in w.letters),
     )
 
 
@@ -293,7 +288,7 @@ def h1_total_space(system, w: Word) -> AbelianGroup:
     the letters of the word.
     """
     g = system.genus
-    cols = [letter_class(system, letter, sign) for letter, sign in w.letters]
+    cols = [letter_class(system, letter) for letter, _ in w.letters]
     matrix = [[col[i] for col in cols] for i in range(2 * g)]
     return cokernel(matrix, 2 * g)
 

@@ -57,14 +57,6 @@ class RelationDecl:
         return RelationDecl(self.name, self.kind, self.left, self.right, status)
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Separating / nonseparating verdict for a letter."""
-
-    kind: str  # "nonseparating" | "separating" | "unknown"
-    h: Optional[int] = None
-
-
 class CurveSystem:
     """Registry of curves, declared facts, relations, and fixture words."""
 
@@ -145,9 +137,6 @@ class CurveSystem:
     def curve_names(self) -> tuple[str, ...]:
         return tuple(self._curves)
 
-    def has_curve(self, name: str) -> bool:
-        return name in self._curves
-
     def class_of(self, name: str) -> Optional[Vec]:
         self._require(name)
         return self._curves[name]
@@ -200,7 +189,12 @@ class CurveSystem:
     # -- homology -------------------------------------------------------
 
     def homology_class_of_letter(self, letter: Letter) -> Optional[Vec]:
-        """Class of the twisted curve; None when opaque curves block it."""
+        """Class of the twisted curve; None when opaque curves block it.
+
+        The one walk from a letter's conjugator to its class: the
+        signature, H1, rho, relation validation, replay and the census
+        all read a letter's class from here.
+        """
         v = self.class_of(letter.base)
         if v is None:
             return None
@@ -211,25 +205,6 @@ class CurveSystem:
             v = sp.transvect(v, a, sign)
         return v
 
-    def classify_letter(self, letter: Letter) -> Classification:
-        """Separating iff the class vanishes; type h where determinable."""
-        cls = self.homology_class_of_letter(letter)
-        if cls is None:
-            return Classification("unknown")
-        if any(cls):
-            return Classification("nonseparating")
-        if self.genus == 2:
-            return Classification("separating", 1)
-        return Classification("separating", self.septype.get(letter.base))
-
-
-def homology_class_of_letter(system: CurveSystem, letter: Letter) -> Optional[Vec]:
-    return system.homology_class_of_letter(letter)
-
-
-def classify_letter(system: CurveSystem, letter: Letter) -> Classification:
-    return system.classify_letter(letter)
-
 
 def validate_relation_decl(system: CurveSystem, decl: RelationDecl) -> bool:
     """Check the relation's homological identity in Sp(2g, Z).
@@ -237,42 +212,36 @@ def validate_relation_decl(system: CurveSystem, decl: RelationDecl) -> bool:
     Raises UnknownClass when opaque curves make the check impossible and
     MalformedRelation on arity errors.
     """
-    shapes = {"lantern": (4, 3), "braid": (3, 3), "commute": (2, 2), "chain2": (12, 1)}
+    # kind: left arity, right arity, and |<a, b>| for the first two left
+    # letters (a one-point pair for braid and chain2, a disjoint one for
+    # commute; a lantern needs none)
+    shapes = {
+        "lantern": (4, 3, None),
+        "braid": (3, 3, 1),
+        "commute": (2, 2, 0),
+        "chain2": (12, 1, 1),
+    }
     if decl.kind not in shapes:
         raise MalformedRelation(f"unknown relation kind {decl.kind!r}")
-    nl, nr = shapes[decl.kind]
+    nl, nr, meet = shapes[decl.kind]
     if len(decl.left) != nl or len(decl.right) != nr:
         raise MalformedRelation(
             f"{decl.kind} relation {decl.name} has arity "
             f"({len(decl.left)}, {len(decl.right)}), expected ({nl}, {nr})"
         )
-
-    def cls(letter):
-        return sp.letter_class(system, letter)
+    if meet is not None:
+        a, b = (sp.letter_class(system, l) for l in decl.left[:2])
+        if abs(sp.pairing(a, b)) != meet:
+            return False
 
     def side_product(side):
-        return sp.twist_product(sp.mat_identity(2 * system.genus), [(cls(l), 1) for l in side])
+        return sp.twist_product(
+            sp.mat_identity(2 * system.genus), [(sp.letter_class(system, l), 1) for l in side]
+        )
 
-    if decl.kind == "lantern":
-        return side_product(decl.left) == side_product(decl.right)
-    if decl.kind == "braid":
-        a, b = decl.left[0], decl.left[1]
-        if abs(sp.pairing(cls(a), cls(b))) != 1:
-            return False
-        return side_product(decl.left) == side_product(decl.right)
-    if decl.kind == "commute":
-        a, b = decl.left
-        if sp.pairing(cls(a), cls(b)) != 0:
-            return False
-        return side_product(decl.left) == side_product(decl.right)
-    # chain2
-    a, b = decl.left[0], decl.left[1]
-    c = decl.right[0]
-    if abs(sp.pairing(cls(a), cls(b))) != 1:
-        return False
-    if any(cls(c)):
-        return False
-    return side_product(decl.left) == sp.mat_identity(2 * system.genus)
+    # chain2 compares (T_a T_b)^6, which is I when |<a, b>| = 1, with T_c,
+    # so it holds exactly when c is null-homologous
+    return side_product(decl.left) == side_product(decl.right)
 
 
 def make_braid(system: CurveSystem, name: str, a: Letter, b: Letter) -> RelationDecl:

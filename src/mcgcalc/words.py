@@ -25,15 +25,17 @@ different curve).  All values are immutable and all operations pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Tuple, TypeVar
 
 from .errors import McgError, SystemMismatch
 
 Pair = Tuple[str, int]
+T = TypeVar("T")
 
 
-def _free_reduce_pairs(pairs: Iterable[Pair]) -> list[Pair]:
-    out: list[Pair] = []
+def _free_reduce_pairs(pairs: Iterable[tuple[T, int]]) -> list[tuple[T, int]]:
+    """Cancel adjacent (x, s) (x, -s): twists of a conjugator, or letters of a word."""
+    out: list[tuple[T, int]] = []
     for name, sign in pairs:
         if out and out[-1][0] == name and out[-1][1] == -sign:
             out.pop()
@@ -102,7 +104,7 @@ class Letter:
     """A conjugated curve ``[conj]base`` in normal form.
 
     Construct through ``CurveSystem.letter``; direct construction skips
-    normalization.
+    normalization, but the conjugator must still be freely reduced.
     """
 
     conj: tuple[Pair, ...]
@@ -154,17 +156,8 @@ class Word:
     __slots__ = ("system", "letters")
 
     def __init__(self, system, letters: Iterable[tuple[Letter, int]], _reduced: bool = False):
-        letters = tuple(letters)
-        if not _reduced:
-            out: list[tuple[Letter, int]] = []
-            for letter, sign in letters:
-                if out and out[-1][0] == letter and out[-1][1] == -sign:
-                    out.pop()
-                else:
-                    out.append((letter, sign))
-            letters = tuple(out)
         self.system = system
-        self.letters = letters
+        self.letters = tuple(letters if _reduced else _free_reduce_pairs(letters))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -10,6 +10,8 @@ at each replay step is also the step's rho check.
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mcgcalc import symplectic as sp
 from mcgcalc.cli import run_command
@@ -22,13 +24,14 @@ from mcgcalc.moves import (
     substitute,
 )
 from mcgcalc.parser import parse_scripts, parse_system, parse_word
-from mcgcalc.words import flatten_word
+from mcgcalc.words import Letter, _free_reduce_pairs, flatten_word
+from tests.flat_oracle import twist_classes
 
 
 def flattened_rho(system, w):
     """rho(w) as the product of the transvections of every flattened twist."""
     return sp.twist_product(
-        sp.mat_identity(2 * system.genus), sp.twist_classes(system, flatten_word(w))
+        sp.mat_identity(2 * system.genus), twist_classes(system, flatten_word(w))
     )
 
 
@@ -94,6 +97,35 @@ def test_rho_letter_is_the_transvection_of_the_letter_class(g3):
             for s in (sign, -sign):
                 single = g3.word([(letter, s)])
                 assert outcome(letter_image, g3, single) == outcome(flattened_rho, g3, single)
+
+
+@st.composite
+def raw_letters(draw, system):
+    """Letter(conj, base) built directly, skipping the normal form.
+
+    The conjugator is freely reduced, as every Letter's is, and holds
+    twists along the base with either sign, often at its end, where
+    ``flatten`` cancels them against the base twist.
+    """
+    names = system.curve_names
+    base = draw(st.sampled_from(names))
+    twist = st.tuples(st.sampled_from(names + (base,) * 4), st.sampled_from([1, -1]))
+    conj = draw(st.lists(twist, max_size=6))
+    conj += [(base, draw(st.sampled_from([1, -1])))] * draw(st.integers(0, 3))
+    return Letter(tuple(_free_reduce_pairs(conj)), base)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_opaque_name_of_raw_letters_matches_flattened_oracle(g3, data):
+    letter = data.draw(raw_letters(g3))
+    sign = data.draw(st.sampled_from([1, -1]))
+    single = g3.word([(letter, sign)])
+    fast = outcome(letter_image, g3, single)
+    assert fast == outcome(flattened_rho, g3, single), (letter, sign)
+    event("opaque" if isinstance(fast[0], str) else "computable")
+    flat = letter.flatten(sign)
+    event("flatten cancels" if len(flat) < 2 * len(letter.conj) + 1 else "flatten keeps all")
 
 
 # --- replay's per-step check ------------------------------------------------
@@ -250,8 +282,8 @@ def test_rotation_shifts_the_letter_classes(g2, g3):
                 letters.append(system.letter(rng.choice(names), conj))
             w = system.word(letters)
             k = rng.randrange(-2 * len(w) - 1, 2 * len(w) + 2)
-            got = [up_to_sign(sp.letter_class(system, l, 1)) for l, _ in rotate(w, k).letters]
-            want = [up_to_sign(sp.letter_class(system, l, 1)) for l, _ in cyclic(w, k)]
+            got = [up_to_sign(sp.letter_class(system, l)) for l, _ in rotate(w, k).letters]
+            want = [up_to_sign(sp.letter_class(system, l)) for l, _ in cyclic(w, k)]
             assert got == want, (repr(w), k)
 
 

@@ -246,7 +246,7 @@ def random_snf_input(rng):
 
 def class_matrix(system, word):
     """The 2g x n matrix whose columns are the letters' classes."""
-    cols = [letter_class(system, letter, sign) for letter, sign in word.letters]
+    cols = [letter_class(system, letter) for letter, _ in word.letters]
     return [[col[i] for col in cols] for i in range(2 * system.genus)]
 
 

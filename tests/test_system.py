@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from mcgcalc.errors import InvalidRelation, MalformedRelation, UnknownClass, UnknownCurve
+from mcgcalc.reports import Census, singular_fiber_census
 from mcgcalc.symplectic import mat_identity, mat_mul, pairing, transvection
 from mcgcalc.system import (
     CurveSystem,
@@ -78,31 +79,45 @@ def test_homology_class_plain_and_zero(g2):
     assert g2.homology_class_of_letter(g2.letter("del", [("c3", 1)])) == (0, 0, 0, 0)
 
 
-def test_classify_letter(g2):
-    assert g2.classify_letter(g2.letter("c1")).kind == "nonseparating"
-    k = g2.classify_letter(g2.letter("k"))
-    assert (k.kind, k.h) == ("separating", 1)
+def census(system, letters):
+    return singular_fiber_census(system, system.word(letters))
 
 
-def test_classify_letter_genus3(g3):
-    assert g3.classify_letter(g3.letter("x1")).kind == "unknown"
-    assert g3.classify_letter(g3.letter("c7")).kind == "nonseparating"
+def test_census_nonseparating_and_genus2_type(g2):
+    # a letter with a nonzero class is nonseparating; a null-homologous
+    # letter at genus 2 has type 1 with no septype declared
+    assert not g2.septype
+    assert census(g2, ["c1", "c2", "h"]) == Census(n0=3)
+    assert census(g2, ["c1", "k", "del", "k"]) == Census(n0=1, separating=((1, 3),))
 
 
-def test_classify_separating_type_unknown_beyond_genus2():
-    s = CurveSystem(3)
-    s.add_curve("z", (0,) * 6)
-    c = s.classify_letter(s.letter("z"))
-    assert (c.kind, c.h) == ("separating", None)
-    s.add_septype("z", 1)
-    assert s.classify_letter(s.letter("z")).h == 1
+def test_census_opaque_letters_are_class_unknown(g3):
+    # an opaque base or an opaque conjugator twist leaves the class unknown
+    letters = ["x1", "c7", g3.letter("c4", [("x1", 1)]), "c8"]
+    assert census(g3, letters) == Census(n0=1, class_unknown=3)
 
 
-def test_classify_conjugation_invariant(g2):
-    for base in ("c1", "k", "del"):
-        plain = g2.classify_letter(g2.letter(base))
-        twisted = g2.classify_letter(g2.letter(base, [("c2", -1), ("c3", 1)]))
-        assert plain.kind == twisted.kind
+def test_census_separating_type_from_septype():
+    s = CurveSystem(4)
+    s.add_curve("c1", (1,) + (0,) * 7)
+    for name in ("y", "z", "u"):
+        s.add_curve(name, (0,) * 8)
+    letters = ["z", "c1", "y", s.letter("z", [("c1", 1)]), "u"]
+    assert census(s, letters) == Census(n0=1, sep_type_unknown=4)
+    s.add_septype("z", 2)
+    s.add_septype("y", 1)
+    # the type is the base curve's, also under a conjugator; u stays unknown
+    got = census(s, letters)
+    assert got == Census(n0=1, separating=((1, 1), (2, 2)), sep_type_unknown=1)
+    assert got.n_separating == 4
+
+
+def test_census_conjugation_invariant(g2, g3):
+    for system, bases in ((g2, ("c1", "k", "del")), (g3, ("c4", "c6", "x2"))):
+        for base in bases:
+            plain = census(system, [base])
+            twisted = census(system, [system.letter(base, [("c2", -1), ("c3", 1)])])
+            assert plain == twisted, base
 
 
 def test_lantern_validation(g2):
@@ -142,12 +157,54 @@ def test_chain2_validates(rel_g2):
     assert acc == mat_identity(4)
 
 
+def refused(system, decl):
+    """validate_relation_decl says False and add_relation raises."""
+    assert validate_relation_decl(system, decl) is False
+    with pytest.raises(InvalidRelation):
+        system.add_relation(decl)
+    return decl.name not in system.relations
+
+
 def test_braid_needs_one_point_pairing():
     s = CurveSystem(2)
     s.add_curve("c1", A1)
     s.add_curve("c3", (1, 0, 1, 0))
     decl = make_braid(s, "bad", s.letter("c1"), s.letter("c3"))
     assert validate_relation_decl(s, decl) is False
+    # two null-homologous curves: both sides are I, so only the pairing refuses
+    s.add_curve("z", (0, 0, 0, 0))
+    s.add_curve("w", (0, 0, 0, 0))
+    assert refused(s, make_braid(s, "zbraid", s.letter("z"), s.letter("w")))
+
+
+def test_commute_needs_disjoint_pairing():
+    s = CurveSystem(2)
+    s.add_curve("c1", A1)
+    s.add_curve("c2", B1)
+    assert refused(s, make_commute(s, "bad", s.letter("c1"), s.letter("c2")))
+
+
+def test_chain2_needs_a_null_homologous_boundary():
+    s = CurveSystem(2)
+    s.add_curve("c1", A1)
+    s.add_curve("c2", B1)
+    s.add_curve("c", (1, 0, 0, 1))
+    a, b = s.letter("c1"), s.letter("c2")
+    for c in ("c1", "c"):
+        assert refused(s, make_chain2(s, f"bad_{c}", a, b, s.letter(c)))
+
+
+def test_chain2_needs_one_point_pairing():
+    s = CurveSystem(2)
+    s.add_curve("c1", A1)
+    s.add_curve("b2", (0, 2, 0, 0))
+    s.add_curve("z", (0, 0, 0, 0))
+    s.add_curve("w", (0, 0, 0, 0))
+    # <a1, 2 b1> = 2
+    assert refused(s, make_chain2(s, "two", s.letter("c1"), s.letter("b2"), s.letter("z")))
+    # both sides are I, so only the pairing refuses it
+    z, w = s.letter("z"), s.letter("w")
+    assert refused(s, make_chain2(s, "zero", z, w, z))
 
 
 def test_opaque_relation_recorded_as_assumed():

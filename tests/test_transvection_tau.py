@@ -9,12 +9,8 @@ import pytest
 from mcgcalc.errors import NotARelator, UnknownClass
 from mcgcalc.meyer import _transvection_tau, factorization_signature, meyer_tau
 from mcgcalc.parser import parse_system
-from mcgcalc.symplectic import (
-    mat_identity,
-    transvection,
-    twist_classes,
-    twist_product,
-)
+from mcgcalc.symplectic import mat_identity, transvection, twist_product
+from tests.flat_oracle import twist_classes
 from tests.test_symplectic import rank_over_q
 from tests.test_twist_product import hurwitz_walk, prefix_products, random_twists, relator_cases
 

@@ -13,9 +13,9 @@ from mcgcalc.symplectic import (
     mat_mul,
     pairing,
     transvection,
-    twist_classes,
     twist_product,
 )
+from tests.flat_oracle import twist_classes
 
 
 def dense_transvection(v, s):
