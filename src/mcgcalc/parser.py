@@ -73,39 +73,45 @@ _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|-?\d+|\+|-|\^|\[|\]|\(|\)|=>
 
 class _Tokens:
     def __init__(self, text: str, line: int):
+        self.text = text
         self.line = line
-        self.items: list[tuple[str, int]] = []
-        for m in _TOKEN.finditer(text):
-            if m.group(2) is not None:
-                raise ParseError("unrecognized token", line, m.start(2) + 1, m.group(2))
-            self.items.append((m.group(1), m.start(1) + 1))
+        # one findall per line; a character that starts no token leaves
+        # group 1 empty, and no token is empty
+        self.toks = [tok for tok, _ in _TOKEN.findall(text)]
+        if "" in self.toks:
+            m = next(m for m in _TOKEN.finditer(text) if m.group(2) is not None)
+            raise ParseError("unrecognized token", line, m.start(2) + 1, m.group(2))
         self.i = 0
 
+    @property
+    def items(self) -> list[tuple[str, int]]:
+        """(token, 1-based column) pairs; columns are found only when asked."""
+        return [(m.group(1), m.start(1) + 1) for m in _TOKEN.finditer(self.text)]
+
     def peek(self) -> Optional[str]:
-        return self.items[self.i][0] if self.i < len(self.items) else None
+        return self.toks[self.i] if self.i < len(self.toks) else None
 
     def next(self, expected: Optional[str] = None) -> str:
-        if self.i >= len(self.items):
+        if self.i >= len(self.toks):
             raise ParseError(
                 f"unexpected end of line{f', expected {expected!r}' if expected else ''}",
                 self.line,
             )
-        tok, col = self.items[self.i]
+        tok = self.toks[self.i]
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}", self.line, col, tok)
+            raise ParseError(f"expected {expected!r}", self.line, self.col(), tok)
         self.i += 1
         return tok
 
     def col(self) -> int:
-        return self.items[self.i][1] if self.i < len(self.items) else 0
+        return self.items[self.i][1] if self.i < len(self.toks) else 0
 
     def done(self) -> bool:
-        return self.i >= len(self.items)
+        return self.i >= len(self.toks)
 
     def require_done(self) -> None:
         if not self.done():
-            tok, col = self.items[self.i]
-            raise ParseError("trailing input", self.line, col, tok)
+            raise ParseError("trailing input", self.line, self.col(), self.toks[self.i])
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -136,7 +142,7 @@ def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
         toks.require_done()
         return None
     vec = [0] * (2 * genus)
-    if toks.peek() == "0" and toks.i == len(toks.items) - 1:
+    if toks.peek() == "0" and toks.i == len(toks.toks) - 1:
         toks.next()
         return tuple(vec)
     parsed_any = False

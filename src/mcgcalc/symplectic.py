@@ -285,10 +285,14 @@ def h1_total_space(system, w: Word) -> AbelianGroup:
     """H1 of the Lefschetz fibration total space for a positive relator.
 
     Computed as Z^2g modulo the classes of the vanishing cycles, i.e.
-    the letters of the word.
+    the letters of the word.  Repeated classes, also up to sign, span
+    nothing new, so each distinct one is a single column.
     """
     g = system.genus
-    cols = [letter_class(system, letter) for letter, _ in w.letters]
+    cols: dict[Vec, None] = {}
+    for letter, _ in w.letters:
+        u = letter_class(system, letter)
+        cols[max(u, tuple(-x for x in u))] = None
     matrix = [[col[i] for col in cols] for i in range(2 * g)]
     return cokernel(matrix, 2 * g)
 

@@ -66,8 +66,15 @@ class CurveSystem:
         self.genus = genus
         self._curves: dict[str, Optional[Vec]] = {}
         self._decl_index: dict[str, int] = {}
-        self._disjoint: set[frozenset[str]] = set()
+        # the names declared disjoint from each curve (symmetric); the
+        # normal form in words.normalize_conjugator reads these sets
+        self._disjoint_of: dict[str, set[str]] = {}
         self._meet1: set[frozenset[str]] = set()
+        # normal forms by (base, conjugator as given), valid until the
+        # next disjoint or meet1 fact, and classes by letter, which no
+        # later declaration changes.  Both live and die with this system.
+        self._letters: dict[tuple, Letter] = {}
+        self._classes: dict[Letter, Optional[Vec]] = {}
         self.septype: dict[str, int] = {}
         self.relations: dict[str, RelationDecl] = {}
         self.words: dict[str, Word] = {}
@@ -94,7 +101,9 @@ class CurveSystem:
         self._require(b)
         if a == b:
             raise ValueError(f"disjoint pair must name two distinct curves, got {a!r}")
-        self._disjoint.add(frozenset((a, b)))
+        self._disjoint_of.setdefault(a, set()).add(b)
+        self._disjoint_of.setdefault(b, set()).add(a)
+        self._letters.clear()
 
     def add_meet1(self, a: str, b: str) -> None:
         self._require(a)
@@ -102,6 +111,7 @@ class CurveSystem:
         if a == b:
             raise ValueError(f"meet1 pair must name two distinct curves, got {a!r}")
         self._meet1.add(frozenset((a, b)))
+        self._letters.clear()
 
     def add_septype(self, name: str, h: int) -> None:
         self._require(name)
@@ -142,7 +152,7 @@ class CurveSystem:
         return self._curves[name]
 
     def is_disjoint(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._disjoint
+        return b in self._disjoint_of.get(a, ())
 
     def is_meet1(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self._meet1
@@ -157,6 +167,12 @@ class CurveSystem:
 
     def letter(self, base: str, conj: Iterable[tuple[str, int]] = ()) -> Letter:
         """A normalized letter; conjugator entries may carry exponents."""
+        conj = tuple(conj)
+        key = (base, conj)
+        try:
+            return self._letters[key]
+        except KeyError:
+            pass
         self._require(base)
         pairs: list[tuple[str, int]] = []
         for name, exp in conj:
@@ -165,8 +181,8 @@ class CurveSystem:
                 raise ValueError("conjugator exponent must be nonzero")
             sign = 1 if exp > 0 else -1
             pairs.extend((name, sign) for _ in range(abs(exp)))
-        cpairs, cbase = normalize_conjugator(self, pairs, base)
-        return Letter(cpairs, cbase)
+        letter = self._letters[key] = Letter(*normalize_conjugator(self, pairs, base))
+        return letter
 
     def word(self, letters: Iterable) -> Word:
         """A word from letters, (letter, sign) pairs, or curve names."""
@@ -193,16 +209,20 @@ class CurveSystem:
 
         The one walk from a letter's conjugator to its class: the
         signature, H1, rho, relation validation, replay and the census
-        all read a letter's class from here.
+        all read a letter's class from here, and each distinct letter
+        walks once per system.
         """
+        try:
+            return self._classes[letter]
+        except KeyError:
+            pass
         v = self.class_of(letter.base)
-        if v is None:
-            return None
         for name, sign in reversed(letter.conj):
+            if v is None:
+                break
             a = self.class_of(name)
-            if a is None:
-                return None
-            v = sp.transvect(v, a, sign)
+            v = None if a is None else sp.transvect(v, a, sign)
+        self._classes[letter] = v
         return v
 
 
@@ -270,12 +290,12 @@ def validate_system(system: CurveSystem) -> list[str]:
     """
     violations: list[str] = []
     g = system.genus
-    both = system._disjoint & system._meet1
-    for pair in sorted(both, key=sorted):
-        a, b = sorted(pair)
-        violations.append(f"pair ({a}, {b}): declared both disjoint and meet1")
-    for pair in sorted(system._disjoint, key=sorted):
-        a, b = sorted(pair)
+    disjoint = [(a, b) for a in sorted(system._disjoint_of)
+                for b in sorted(system._disjoint_of[a]) if a < b]
+    for a, b in disjoint:
+        if system.is_meet1(a, b):
+            violations.append(f"pair ({a}, {b}): declared both disjoint and meet1")
+    for a, b in disjoint:
         ca, cb = system.class_of(a), system.class_of(b)
         if ca is None or cb is None:
             continue

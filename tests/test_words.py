@@ -329,3 +329,44 @@ def test_normal_form_of_fixture_letters_matches_one_rule_per_pass(g2, g3):
                 for pairs in (letter.conj, letter.conj + letter.conj):
                     assert normalize_conjugator(system, pairs, letter.base) == \
                         normalize_one_rule_per_pass(system, pairs, letter.base)
+
+
+@st.composite
+def long_conjugators(draw, system):
+    # long runs over many names, so that twists sort past several others
+    names = draw(st.lists(st.sampled_from(system.curve_names), min_size=2, max_size=7,
+                          unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from([1, -1])),
+                          min_size=20, max_size=120))
+    return pairs, draw(st.sampled_from(system.curve_names))
+
+
+@pytest.mark.parametrize("fixture", ["g2", "g3"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_long_conjugators_match_one_rule_per_pass(request, fixture, data):
+    system = request.getfixturevalue(fixture)
+    pairs, base = data.draw(long_conjugators(system))
+    assert normalize_conjugator(system, pairs, base) == normalize_one_rule_per_pass(
+        system, pairs, base)
+
+
+def test_seeded_conjugators_match_one_rule_per_pass(g3):
+    rng = random.Random(37)
+    names = list(g3.curve_names)
+    for _ in range(2000):
+        alphabet = rng.sample(names, rng.randint(2, 6))
+        pairs = [(rng.choice(alphabet), rng.choice([1, -1])) for _ in range(rng.randrange(60))]
+        base = rng.choice(names)
+        assert normalize_conjugator(g3, pairs, base) == normalize_one_rule_per_pass(
+            g3, pairs, base)
+
+
+def test_alternating_disjoint_twists_sort_in_one_pass(g2):
+    # c1 and c3 are disjoint and declared in that order, so every c3
+    # moves left past every c1: n^2 / 4 adjacent swaps, but one
+    # placement per twist
+    pairs = [("c1", 1), ("c3", 1)] * 300
+    got = normalize_conjugator(g2, pairs, "c2")
+    assert got == normalize_one_rule_per_pass(g2, pairs, "c2")
+    assert got == (tuple([("c3", 1)] * 300 + [("c1", 1)] * 300), "c2")
