@@ -13,6 +13,7 @@ from .errors import (
     DimensionError,
     InvalidRelation,
     InvalidSearch,
+    InvalidSystem,
     MalformedRelation,
     McgError,
     NotARelator,
@@ -38,7 +39,7 @@ from .moves import (
     simultaneous_conjugation,
     substitute,
 )
-from .parser import parse_inputs, parse_scripts, parse_system, parse_word
+from .parser import load_system, parse_scripts, parse_system, parse_word
 from .reports import (
     Census,
     InvariantReport,
@@ -69,7 +70,6 @@ from .words import (
     Letter,
     Word,
     compose_words,
-    free_reduce,
     invert_word,
     is_positive,
     push_forward_word,

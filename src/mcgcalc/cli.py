@@ -14,6 +14,7 @@ import sys
 
 from .errors import (
     InvalidSearch,
+    InvalidSystem,
     McgError,
     NotARelator,
     ParseError,
@@ -22,28 +23,17 @@ from .errors import (
     UnknownCurve,
 )
 from .moves import find_sites, replay_script
-from .parser import parse_scripts, parse_system, read_source
+from .parser import load_system, parse_scripts, read_source
 from .reports import full_report, substitution_delta_report
-from .system import solve_lantern_classes, validate_system
+from .system import solve_lantern_classes
 from .words import render_word
 
 
-class _InvalidSystem(Exception):
-    """A system file with violations; its message lists them."""
-
-
-def _valid_system(path: str):
-    """The system at ``path``; raises _InvalidSystem when it has violations."""
-    system = parse_system(read_source(path), path)
-    violations = validate_system(system)
-    if violations:
-        raise _InvalidSystem("; ".join(violations))
-    return system
-
-
 def _cmd_check(args) -> int:
-    system = parse_system(read_source(args.system), args.system)
-    violations = validate_system(system)
+    try:
+        system, violations = load_system(args.system), []
+    except InvalidSystem as exc:
+        system, violations = exc.system, exc.violations
     for v in violations:
         print(f"violation: {v}")
     for a in system.assumptions:
@@ -59,7 +49,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    system = _valid_system(args.system)
+    system = load_system(args.system)
     if args.word not in system.words:
         print(f"word {args.word!r} is not declared in {args.system}", file=sys.stderr)
         return 2
@@ -88,7 +78,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    system = _valid_system(args.system)
+    system = load_system(args.system)
     scripts = parse_scripts(read_source(args.script), system, args.script)
     if not scripts:
         print(f"no scripts in {args.script}", file=sys.stderr)
@@ -133,7 +123,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_sites(args) -> int:
-    system = _valid_system(args.system)
+    system = load_system(args.system)
     if args.word not in system.words:
         print(f"word {args.word!r} is not declared", file=sys.stderr)
         return 2
@@ -149,7 +139,7 @@ def _cmd_sites(args) -> int:
 
 
 def _cmd_solve_lantern(args) -> int:
-    system = _valid_system(args.system)
+    system = load_system(args.system)
     known = list(args.known)
     if len(known) == 1:
         known = known + ["?", "?"]
@@ -244,7 +234,7 @@ def run_command(argv: list[str]) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except _InvalidSystem as exc:
+    except InvalidSystem as exc:
         print(exc, file=sys.stderr)
         return 1
     except OSError as exc:

@@ -61,6 +61,19 @@ class ScriptError(McgError):
         self.move = move
 
 
+class InvalidSystem(McgError):
+    """A system file that parses but breaks its declared facts.
+
+    Carries the violation list and the parsed system; the message is the
+    violations joined by "; ".
+    """
+
+    def __init__(self, violations, system):
+        super().__init__("; ".join(violations))
+        self.violations = violations
+        self.system = system
+
+
 class ParseError(McgError):
     """A syntax or resolution error in an input file."""
 

@@ -21,6 +21,9 @@ most ``MAX_WORD_LETTERS`` letters, and a conjugator to as many twists;
 parentheses nest at most ``MAX_NESTING`` deep and the genus is at most
 ``MAX_GENUS``.  The conjugator reads in display order: the leftmost
 twist is applied last.  ``#`` starts a comment.  Files are UTF-8 text.
+Every declared NAME (curve, word, relation, script) is an identifier.
+``load_system`` is the one gate from a system file to a validated
+system.
 
 Script files hold derivations:
 
@@ -36,20 +39,12 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
-from .errors import ParseError, UnknownCurve
+from .errors import InvalidSystem, ParseError, UnknownCurve
 from .moves import Conj, DerivationScript, Elem, Rotate, Subst
-from .system import (
-    CurveSystem,
-    RelationDecl,
-    make_braid,
-    make_chain2,
-    make_commute,
-    make_lantern,
-    validate_system,
-)
-from .words import Letter, Word, render_word
+from .system import RELATION_KINDS, CurveSystem, make_relation, validate_system
+from .words import Letter, Word
 
 # Most letters a word expression may expand to.  Powers expand at parse
 # time, so ``c1^1000000000`` would otherwise allocate gigabytes; the
@@ -106,6 +101,10 @@ class _Tokens:
     def col(self) -> int:
         return self.items[self.i][1] if self.i < len(self.toks) else 0
 
+    def last_col(self) -> int:
+        """The column of the token ``next`` returned last."""
+        return self.items[self.i - 1][1]
+
     def done(self) -> bool:
         return self.i >= len(self.toks)
 
@@ -120,6 +119,14 @@ _INT = re.compile(r"-?\d+$")
 
 def _is_name(tok: Optional[str]) -> bool:
     return tok is not None and _NAME.match(tok) is not None
+
+
+def _name(toks: _Tokens) -> str:
+    """The next token, which must be a name."""
+    tok = toks.next()
+    if _NAME.match(tok) is None:
+        raise ParseError("expected name", toks.line, toks.last_col(), tok)
+    return tok
 
 
 def _int(tok: Optional[str], line: int) -> Optional[int]:
@@ -166,7 +173,7 @@ def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
         k = _int(m.group(2), toks.line) if m else None
         if k is None or not (1 <= k <= genus):
             raise ParseError(
-                f"unresolved basis symbol for genus {genus}", toks.line, toks.col(), name
+                f"unresolved basis symbol for genus {genus}", toks.line, toks.last_col(), name
             )
         idx = 2 * (k - 1) + (0 if m.group(1) == "a" else 1)
         vec[idx] += sign * coeff
@@ -176,7 +183,7 @@ def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
     return tuple(vec)
 
 
-def _parse_conj(toks: _Tokens, system: CurveSystem) -> list[tuple[str, int]]:
+def _parse_conj(toks: _Tokens) -> list[tuple[str, int]]:
     out = []
     twists = 0
     while _is_name(toks.peek()):
@@ -187,7 +194,7 @@ def _parse_conj(toks: _Tokens, system: CurveSystem) -> list[tuple[str, int]]:
             tok = toks.next()
             exp = _int(tok, toks.line)
             if exp is None:
-                raise ParseError("expected integer exponent", toks.line, toks.col(), tok)
+                raise ParseError("expected integer exponent", toks.line, toks.last_col(), tok)
             if exp == 0:
                 raise ParseError("conjugator exponent must be nonzero", toks.line)
         twists += abs(exp)
@@ -202,18 +209,18 @@ def _parse_conj(toks: _Tokens, system: CurveSystem) -> list[tuple[str, int]]:
 def _parse_atom(toks: _Tokens, system: CurveSystem) -> Letter:
     if toks.peek() == "[":
         toks.next()
-        conj = _parse_conj(toks, system)
+        conj = _parse_conj(toks)
         toks.next("]")
         base = toks.next()
         if not _is_name(base):
-            raise ParseError("expected curve name after conjugator", toks.line, toks.col(), base)
+            raise ParseError("expected curve name after conjugator", toks.line, toks.last_col(), base)
         try:
             return system.letter(base, conj)
         except UnknownCurve as exc:
             raise ParseError(str(exc), toks.line) from exc
     tok = toks.next()
     if not _is_name(tok):
-        raise ParseError("expected curve name", toks.line, toks.col(), tok)
+        raise ParseError("expected curve name", toks.line, toks.last_col(), tok)
     try:
         return system.letter(tok)
     except UnknownCurve as exc:
@@ -224,7 +231,7 @@ def _word_power(toks: _Tokens) -> int:
     ptok = toks.next()
     power = _int(ptok, toks.line)
     if power is None or power < 1:
-        raise ParseError("word powers must be >= 1", toks.line, toks.col(), ptok)
+        raise ParseError("word powers must be >= 1", toks.line, toks.last_col(), ptok)
     return power
 
 
@@ -272,11 +279,6 @@ def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
     return Word(system, tuple((l, 1) for l in letters))
 
 
-def render(word: Word) -> str:
-    """Inverse of parse_word up to spacing; parses back to the same word."""
-    return render_word(word)
-
-
 def _strip(line: str) -> str:
     if "#" in line:
         line = line[: line.index("#")]
@@ -310,7 +312,7 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
             raise ParseError("genus statement must come first", lineno, token=stmt)
         try:
             if stmt == "curve":
-                name = toks.next()
+                name = _name(toks)
                 toks.next("=")
                 cls = _parse_class(toks, system.genus)
                 system.add_curve(name, cls)
@@ -329,7 +331,7 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
                 if h is None:
                     raise ParseError("septype needs an integer type", lineno, token=htok)
                 system.add_septype(name, h)
-            elif stmt in ("lantern", "braid", "commute", "chain2", "word"):
+            elif stmt in RELATION_KINDS or stmt == "word":
                 pending.append((lineno, toks, stmt))
             else:
                 raise ParseError(f"unknown statement {stmt!r}", lineno, token=stmt)
@@ -342,35 +344,21 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
     # relations and words resolve after all curves exist
     for lineno, toks, stmt in pending:
         try:
+            name = _name(toks)
             if stmt == "word":
-                name = toks.next()
                 toks.next("=")
                 letters = _parse_word_expr(toks, system)
                 toks.require_done()
                 system.add_word(name, Word(system, tuple((l, 1) for l in letters)))
                 continue
-            name = toks.next()
             toks.next(":")
-            if stmt == "lantern":
-                d = [_parse_atom(toks, system) for _ in range(4)]
+            shape = RELATION_KINDS[stmt]
+            atoms = [_parse_atom(toks, system) for _ in range(shape.before)]
+            if shape.after:
                 toks.next("=>")
-                abc = [_parse_atom(toks, system) for _ in range(3)]
-                toks.require_done()
-                system.add_relation(make_lantern(system, name, d, abc))
-            elif stmt == "braid":
-                a, b = _parse_atom(toks, system), _parse_atom(toks, system)
-                toks.require_done()
-                system.add_relation(make_braid(system, name, a, b))
-            elif stmt == "commute":
-                a, b = _parse_atom(toks, system), _parse_atom(toks, system)
-                toks.require_done()
-                system.add_relation(make_commute(system, name, a, b))
-            else:
-                a, b = _parse_atom(toks, system), _parse_atom(toks, system)
-                toks.next("=>")
-                c = _parse_atom(toks, system)
-                toks.require_done()
-                system.add_relation(make_chain2(system, name, a, b, c))
+                atoms += [_parse_atom(toks, system) for _ in range(shape.after)]
+            toks.require_done()
+            system.add_relation(make_relation(stmt, name, *atoms))
         except (ValueError, UnknownCurve) as exc:
             raise ParseError(str(exc), lineno) from exc
     return system
@@ -398,7 +386,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
         stmt = toks.next()
         if stmt == "script":
             finish()
-            name = toks.next()
+            name = _name(toks)
             toks.next("on")
             src = toks.next()
             toks.next(":")
@@ -420,7 +408,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError("elem direction must be L or R", lineno, token=direction)
             current["steps"].append(Elem(idx, direction))
         elif stmt == "conj":
-            pairs = _parse_conj(toks, system)
+            pairs = _parse_conj(toks)
             toks.require_done()
             try:
                 letters = []
@@ -471,22 +459,15 @@ def read_source(path: str | Path) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def parse_inputs(paths: Iterable[str | Path]) -> tuple[CurveSystem, dict[str, Word], dict[str, DerivationScript]]:
-    """Load a system file and any number of script files.
+def load_system(path: str | Path) -> CurveSystem:
+    """The one gate from a system file to a validated system.
 
-    The first path must be the system file; validation failures raise
-    ParseError carrying the violation list.
+    Reads the file, parses it and checks its declared facts; raises
+    ParseError on text that does not parse and InvalidSystem, carrying
+    the violations and the parsed system, on facts that contradict.
     """
-    paths = [Path(p) for p in paths]
-    if not paths:
-        raise ParseError("no input files")
-    system = parse_system(read_source(paths[0]), str(paths[0]))
+    system = parse_system(read_source(path), str(path))
     violations = validate_system(system)
     if violations:
-        raise ParseError(
-            f"system {paths[0]} is invalid: " + "; ".join(violations)
-        )
-    scripts: dict[str, DerivationScript] = {}
-    for p in paths[1:]:
-        scripts.update(parse_scripts(read_source(p), system, str(p)))
-    return system, dict(system.words), scripts
+        raise InvalidSystem(violations, system)
+    return system

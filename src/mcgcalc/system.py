@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import symplectic as sp
 from .errors import (
@@ -41,7 +41,7 @@ LANTERN_BOX_LIMIT = 100_000
 class RelationDecl:
     """A declared relation with its two substitutable sides.
 
-    kind is one of lantern, braid, commute, chain2.  The sides are
+    kind is a key of RELATION_KINDS.  The sides are
     letter tuples; either side may contain conjugated letters.  status
     is "verified" once the homological identity has been checked, or
     "assumed" when opaque curves make the check impossible.
@@ -226,32 +226,59 @@ class CurveSystem:
         return v
 
 
+class RelationKind(NamedTuple):
+    """What one relation kind declares.
+
+    ``before`` and ``after`` count the atoms a declaration lists before
+    and after ``=>``; ``left`` and ``right`` spell each side as positions
+    in those atoms; ``meet`` is |<a, b>| required of atoms 0 and 1, which
+    open every left side (a one-point pair for braid and chain2, a
+    disjoint one for commute; a lantern needs none).
+    """
+
+    before: int
+    after: int
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    meet: Optional[int]
+
+
+RELATION_KINDS = {
+    "lantern": RelationKind(4, 3, (0, 1, 2, 3), (4, 5, 6), None),
+    "braid": RelationKind(2, 0, (0, 1, 0), (1, 0, 1), 1),
+    "commute": RelationKind(2, 0, (0, 1), (1, 0), 0),
+    "chain2": RelationKind(2, 1, (0, 1) * 6, (2,), 1),
+}
+
+
+def make_relation(kind: str, name: str, *atoms: Letter) -> RelationDecl:
+    """The relation of ``kind`` on its declared atoms, in file order."""
+    shape = RELATION_KINDS.get(kind)
+    if shape is None or len(atoms) != shape.before + shape.after:
+        raise MalformedRelation(f"{kind!r} relation {name} cannot take {len(atoms)} atoms")
+    return RelationDecl(
+        name, kind, tuple(atoms[i] for i in shape.left), tuple(atoms[i] for i in shape.right)
+    )
+
+
 def validate_relation_decl(system: CurveSystem, decl: RelationDecl) -> bool:
     """Check the relation's homological identity in Sp(2g, Z).
 
     Raises UnknownClass when opaque curves make the check impossible and
     MalformedRelation on arity errors.
     """
-    # kind: left arity, right arity, and |<a, b>| for the first two left
-    # letters (a one-point pair for braid and chain2, a disjoint one for
-    # commute; a lantern needs none)
-    shapes = {
-        "lantern": (4, 3, None),
-        "braid": (3, 3, 1),
-        "commute": (2, 2, 0),
-        "chain2": (12, 1, 1),
-    }
-    if decl.kind not in shapes:
+    shape = RELATION_KINDS.get(decl.kind)
+    if shape is None:
         raise MalformedRelation(f"unknown relation kind {decl.kind!r}")
-    nl, nr, meet = shapes[decl.kind]
+    nl, nr = len(shape.left), len(shape.right)
     if len(decl.left) != nl or len(decl.right) != nr:
         raise MalformedRelation(
             f"{decl.kind} relation {decl.name} has arity "
             f"({len(decl.left)}, {len(decl.right)}), expected ({nl}, {nr})"
         )
-    if meet is not None:
+    if shape.meet is not None:
         a, b = (sp.letter_class(system, l) for l in decl.left[:2])
-        if abs(sp.pairing(a, b)) != meet:
+        if abs(sp.pairing(a, b)) != shape.meet:
             return False
 
     def side_product(side):
@@ -262,24 +289,6 @@ def validate_relation_decl(system: CurveSystem, decl: RelationDecl) -> bool:
     # chain2 compares (T_a T_b)^6, which is I when |<a, b>| = 1, with T_c,
     # so it holds exactly when c is null-homologous
     return side_product(decl.left) == side_product(decl.right)
-
-
-def make_braid(system: CurveSystem, name: str, a: Letter, b: Letter) -> RelationDecl:
-    return RelationDecl(name, "braid", (a, b, a), (b, a, b))
-
-
-def make_commute(system: CurveSystem, name: str, a: Letter, b: Letter) -> RelationDecl:
-    return RelationDecl(name, "commute", (a, b), (b, a))
-
-
-def make_chain2(system: CurveSystem, name: str, a: Letter, b: Letter, c: Letter) -> RelationDecl:
-    return RelationDecl(name, "chain2", (a, b) * 6, (c,))
-
-
-def make_lantern(
-    system: CurveSystem, name: str, d: Sequence[Letter], abc: Sequence[Letter]
-) -> RelationDecl:
-    return RelationDecl(name, "lantern", tuple(d), tuple(abc))
 
 
 def validate_system(system: CurveSystem) -> list[str]:

@@ -236,15 +236,6 @@ def invert_word(u: Word) -> Word:
     return Word(u.system, tuple((l, -s) for l, s in reversed(u.letters)), _reduced=True)
 
 
-def free_reduce(u: Word) -> Word:
-    """Free reduction (idempotent; Word construction already reduces)."""
-    return Word(u.system, u.letters)
-
-
-def empty_word(system) -> Word:
-    return Word(system, (), _reduced=True)
-
-
 def flatten_word(w: Word) -> tuple[Pair, ...]:
     """The word as a freely reduced sequence of plain twists."""
     pairs: list[Pair] = []

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from mcgcalc import fixture_path
 from mcgcalc.cli import run_command
 from mcgcalc.errors import InvalidSearch, McgError, ParseError
-from mcgcalc.parser import MAX_WORD_LETTERS, parse_scripts, parse_system, parse_word, render
+from mcgcalc.parser import MAX_WORD_LETTERS, parse_scripts, parse_system, parse_word
 from mcgcalc.system import LANTERN_BOX_LIMIT, solve_lantern_classes
+from mcgcalc.words import render_word
 
 G2 = str(fixture_path("genus2_chain.mcg"))
 G3 = str(fixture_path("genus3_chain.mcg"))
@@ -67,9 +68,9 @@ def test_longest_conjugator_normalizes_quickly():
     # conjugator must not cost one normalization pass per firing
     start = time.perf_counter()
     system = parse_system(HEAD + f"word w = [c1^{MAX_WORD_LETTERS}]c1\n")
-    assert render(system.words["w"]) == "c1"
+    assert render_word(system.words["w"]) == "c1"
     system = parse_system(HEAD + f"word w = [{'c1 c2 ' * (MAX_WORD_LETTERS // 2)}]c1\n")
-    assert render(system.words["w"]) == "[c1]c2"
+    assert render_word(system.words["w"]) == "[c1]c2"
     assert time.perf_counter() - start < 5
 
 
@@ -147,6 +148,6 @@ letters = st.tuples(
 @given(st.lists(letters, min_size=1, max_size=10))
 def test_parse_of_render_is_the_identity(g2, spec):
     w = g2.word([g2.letter(base, conj) for base, conj in spec])
-    text = render(w)
+    text = render_word(w)
     assert parse_word(g2, text) == w
-    assert render(parse_word(g2, text)) == text
+    assert render_word(parse_word(g2, text)) == text

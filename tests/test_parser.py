@@ -2,7 +2,8 @@ import pytest
 
 from mcgcalc import fixture_path
 from mcgcalc.errors import ParseError
-from mcgcalc.parser import parse_inputs, parse_scripts, parse_system, parse_word, render
+from mcgcalc.errors import InvalidSystem
+from mcgcalc.parser import load_system, parse_scripts, parse_system, parse_word
 from mcgcalc.system import validate_system
 from mcgcalc.words import render_word
 
@@ -100,7 +101,7 @@ def test_conjugator_exponents():
 
 def test_word_roundtrip_through_render(g2):
     for name, word in g2.words.items():
-        again = parse_word(g2, render(word))
+        again = parse_word(g2, render_word(word))
         assert again == word
 
 
@@ -129,19 +130,18 @@ def test_parse_scripts_errors(g2):
         parse_scripts("  elem 1 R\n", g2)
 
 
-def test_parse_inputs_bundle():
-    system, words, scripts = parse_inputs(
-        [fixture_path("genus2_chain.mcg"), fixture_path("ex53.script")]
-    )
-    assert set(words) == {"rho", "rhoprime"}
+def test_load_system_then_scripts():
+    system = load_system(fixture_path("genus2_chain.mcg"))
+    scripts = parse_scripts(fixture_path("ex53.script").read_text(), system)
+    assert set(system.words) == {"rho", "rhoprime"}
     assert set(scripts) == {"ex53"}
 
 
-def test_parse_inputs_rejects_invalid_system(tmp_path):
+def test_load_system_rejects_invalid_system(tmp_path):
     bad = tmp_path / "bad.mcg"
     bad.write_text("genus 2\ncurve c1 = a1\ncurve c2 = b1\ndisjoint c1 c2\n")
-    with pytest.raises(ParseError) as exc:
-        parse_inputs([bad])
+    with pytest.raises(InvalidSystem) as exc:
+        load_system(bad)
     assert "pairing" in str(exc.value)
 
 
@@ -169,3 +169,42 @@ def test_unrecognized_token_is_located(line, col, token):
         _Tokens(line, 5)
     assert (exc.value.line, exc.value.col, exc.value.token) == (5, col, token)
     assert str(exc.value) == f"line 5, col {col}: unrecognized token (at {token!r})"
+
+
+@pytest.mark.parametrize(
+    "stmt, line, token, col",
+    [
+        ("curve", "curve 7 = b1", "7", 7),
+        ("word", "word ( = c1 c1", "(", 6),
+        ("relation", "commute ] : c1 c1", "]", 9),
+        ("script", "script => on w:", "=>", 8),
+    ],
+)
+def test_declared_names_must_be_names(stmt, line, token, col):
+    head = "genus 2\ncurve c1 = a1\nword w = c1\n"
+    with pytest.raises(ParseError) as exc:
+        if stmt == "script":
+            parse_scripts(line + "\n", parse_system(head))
+        else:
+            parse_system(head + line + "\n")
+    lineno = 1 if stmt == "script" else 4
+    assert (exc.value.line, exc.value.col, exc.value.token) == (lineno, col, token)
+    assert str(exc.value) == f"line {lineno}, col {col}: expected name (at {token!r})"
+
+
+@pytest.mark.parametrize(
+    "line, message, token, col",
+    [
+        ("curve c3 = a1 + a7", "unresolved basis symbol for genus 2", "a7", 17),
+        ("word w = [c1^x]c2 c1", "expected integer exponent", "x", 14),
+        ("word w = [c1]5 c1", "expected curve name after conjugator", "5", 14),
+        ("word w = 5 c1", "expected curve name", "5", 10),
+        ("word w = c1^0 c2", "word powers must be >= 1", "0", 13),
+    ],
+)
+def test_parse_error_names_the_column_of_its_token(line, message, token, col):
+    with pytest.raises(ParseError) as exc:
+        parse_system("genus 2\ncurve c1 = a1\ncurve c2 = b1\n" + line + "\n")
+    assert (exc.value.line, exc.value.col, exc.value.token) == (4, col, token)
+    assert line[col - 1:].startswith(token)
+    assert str(exc.value) == f"line 4, col {col}: {message} (at {token!r})"

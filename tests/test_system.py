@@ -8,10 +8,7 @@ from mcgcalc.symplectic import mat_identity, mat_mul, pairing, transvection
 from mcgcalc.system import (
     CurveSystem,
     RelationDecl,
-    make_braid,
-    make_chain2,
-    make_commute,
-    make_lantern,
+    make_relation,
     solve_lantern_classes,
     validate_relation_decl,
     validate_system,
@@ -130,7 +127,7 @@ def test_degenerate_lantern_fails():
     s = CurveSystem(2)
     s.add_curve("c1", A1)
     c = s.letter("c1")
-    decl = make_lantern(s, "bad", (c, c, c, c), (c, c, c))
+    decl = make_relation("lantern", "bad", c, c, c, c, c, c, c)
     assert validate_relation_decl(s, decl) is False
     with pytest.raises(InvalidRelation):
         s.add_relation(decl)
@@ -144,6 +141,10 @@ def test_relation_arity_checked():
         validate_relation_decl(s, RelationDecl("bad", "lantern", (c, c), (c,)))
     with pytest.raises(MalformedRelation):
         validate_relation_decl(s, RelationDecl("bad", "nope", (c,), (c,)))
+    with pytest.raises(MalformedRelation):
+        make_relation("braid", "bad", c)
+    with pytest.raises(MalformedRelation):
+        make_relation("nope", "bad", c, c)
 
 
 def test_chain2_validates(rel_g2):
@@ -169,19 +170,19 @@ def test_braid_needs_one_point_pairing():
     s = CurveSystem(2)
     s.add_curve("c1", A1)
     s.add_curve("c3", (1, 0, 1, 0))
-    decl = make_braid(s, "bad", s.letter("c1"), s.letter("c3"))
+    decl = make_relation("braid", "bad", s.letter("c1"), s.letter("c3"))
     assert validate_relation_decl(s, decl) is False
     # two null-homologous curves: both sides are I, so only the pairing refuses
     s.add_curve("z", (0, 0, 0, 0))
     s.add_curve("w", (0, 0, 0, 0))
-    assert refused(s, make_braid(s, "zbraid", s.letter("z"), s.letter("w")))
+    assert refused(s, make_relation("braid", "zbraid", s.letter("z"), s.letter("w")))
 
 
 def test_commute_needs_disjoint_pairing():
     s = CurveSystem(2)
     s.add_curve("c1", A1)
     s.add_curve("c2", B1)
-    assert refused(s, make_commute(s, "bad", s.letter("c1"), s.letter("c2")))
+    assert refused(s, make_relation("commute", "bad", s.letter("c1"), s.letter("c2")))
 
 
 def test_chain2_needs_a_null_homologous_boundary():
@@ -191,7 +192,7 @@ def test_chain2_needs_a_null_homologous_boundary():
     s.add_curve("c", (1, 0, 0, 1))
     a, b = s.letter("c1"), s.letter("c2")
     for c in ("c1", "c"):
-        assert refused(s, make_chain2(s, f"bad_{c}", a, b, s.letter(c)))
+        assert refused(s, make_relation("chain2", f"bad_{c}", a, b, s.letter(c)))
 
 
 def test_chain2_needs_one_point_pairing():
@@ -201,17 +202,17 @@ def test_chain2_needs_one_point_pairing():
     s.add_curve("z", (0, 0, 0, 0))
     s.add_curve("w", (0, 0, 0, 0))
     # <a1, 2 b1> = 2
-    assert refused(s, make_chain2(s, "two", s.letter("c1"), s.letter("b2"), s.letter("z")))
+    assert refused(s, make_relation("chain2", "two", s.letter("c1"), s.letter("b2"), s.letter("z")))
     # both sides are I, so only the pairing refuses it
     z, w = s.letter("z"), s.letter("w")
-    assert refused(s, make_chain2(s, "zero", z, w, z))
+    assert refused(s, make_relation("chain2", "zero", z, w, z))
 
 
 def test_opaque_relation_recorded_as_assumed():
     s = CurveSystem(2)
     s.add_curve("c1", A1)
     s.add_curve("zz", None)
-    decl = make_commute(s, "CM", s.letter("c1"), s.letter("zz"))
+    decl = make_relation("commute", "CM", s.letter("c1"), s.letter("zz"))
     s.add_relation(decl)
     assert s.relations["CM"].status == "assumed"
     assert any("CM" in a for a in s.assumptions)
@@ -224,7 +225,7 @@ def test_lantern_rotation_invariance(g2):
     d = la.left
     for r in range(1, 4):
         rotated = d[r:] + d[:r]
-        decl = make_lantern(g2, f"rot{r}", rotated, la.right)
+        decl = make_relation("lantern", f"rot{r}", *rotated, *la.right)
         assert validate_relation_decl(g2, decl) is True
 
 
