@@ -21,7 +21,8 @@ most ``MAX_WORD_LETTERS`` letters, and a conjugator to as many twists;
 parentheses nest at most ``MAX_NESTING`` deep and the genus is at most
 ``MAX_GENUS``.  The conjugator reads in display order: the leftmost
 twist is applied last.  ``#`` starts a comment.  Files are UTF-8 text.
-Every declared NAME (curve, word, relation, script) is an identifier.
+Every declared NAME (curve, word, relation, script) is an identifier,
+and a curve, word, relation, script or septype is declared once.
 ``load_system`` is the one gate from a system file to a validated
 system.
 
@@ -207,22 +208,17 @@ def _parse_conj(toks: _Tokens) -> list[tuple[str, int]]:
 
 
 def _parse_atom(toks: _Tokens, system: CurveSystem) -> Letter:
+    conj: list[tuple[str, int]] = []
     if toks.peek() == "[":
         toks.next()
         conj = _parse_conj(toks)
         toks.next("]")
-        base = toks.next()
-        if not _is_name(base):
-            raise ParseError("expected curve name after conjugator", toks.line, toks.last_col(), base)
-        try:
-            return system.letter(base, conj)
-        except UnknownCurve as exc:
-            raise ParseError(str(exc), toks.line) from exc
-    tok = toks.next()
-    if not _is_name(tok):
-        raise ParseError("expected curve name", toks.line, toks.last_col(), tok)
+    base = toks.next()
+    if not _is_name(base):
+        where = " after conjugator" if conj else ""
+        raise ParseError(f"expected curve name{where}", toks.line, toks.last_col(), base)
     try:
-        return system.letter(tok)
+        return system.letter(base, conj)
     except UnknownCurve as exc:
         raise ParseError(str(exc), toks.line) from exc
 
@@ -272,11 +268,15 @@ def _parse_word_expr(toks: _Tokens, system: CurveSystem, depth: int = 0) -> list
     return letters
 
 
-def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
-    toks = _Tokens(text, line)
+def _word_body(toks: _Tokens, system: CurveSystem) -> Word:
+    """The word the rest of the line spells."""
     letters = _parse_word_expr(toks, system)
     toks.require_done()
     return Word(system, tuple((l, 1) for l in letters))
+
+
+def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
+    return _word_body(_Tokens(text, line), system)
 
 
 def _strip(line: str) -> str:
@@ -316,14 +316,10 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
                 toks.next("=")
                 cls = _parse_class(toks, system.genus)
                 system.add_curve(name, cls)
-            elif stmt == "disjoint":
+            elif stmt in ("disjoint", "meet1"):
                 a, b = toks.next(), toks.next()
                 toks.require_done()
-                system.add_disjoint(a, b)
-            elif stmt == "meet1":
-                a, b = toks.next(), toks.next()
-                toks.require_done()
-                system.add_meet1(a, b)
+                (system.add_disjoint if stmt == "disjoint" else system.add_meet1)(a, b)
             elif stmt == "septype":
                 name, htok = toks.next(), toks.next()
                 toks.require_done()
@@ -347,9 +343,7 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
             name = _name(toks)
             if stmt == "word":
                 toks.next("=")
-                letters = _parse_word_expr(toks, system)
-                toks.require_done()
-                system.add_word(name, Word(system, tuple((l, 1) for l in letters)))
+                system.add_word(name, _word_body(toks, system))
                 continue
             toks.next(":")
             shape = RELATION_KINDS[stmt]
@@ -366,17 +360,10 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
 
 def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> dict[str, DerivationScript]:
     """Parse a script file against an already-loaded system."""
-    scripts: dict[str, DerivationScript] = {}
-    current: Optional[dict] = None
-
-    def finish():
-        nonlocal current
-        if current is not None:
-            scripts[current["name"]] = DerivationScript(
-                current["name"], current["source"], tuple(current["steps"]), current["expect"]
-            )
-            current = None
-
+    sources: dict[str, str] = {}
+    expects: dict[str, str] = {}
+    steps: dict[str, list] = {}
+    current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = _strip(raw)
         if not body.strip():
@@ -385,15 +372,18 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
         toks = _Tokens(body, lineno)
         stmt = toks.next()
         if stmt == "script":
-            finish()
-            name = _name(toks)
+            current = _name(toks)
+            if current in steps:
+                raise ParseError(
+                    f"script {current!r} already declared", lineno, toks.last_col(), current
+                )
             toks.next("on")
             src = toks.next()
             toks.next(":")
             toks.require_done()
             if src not in system.words:
                 raise ParseError(f"word {src!r} is not declared in the system", lineno)
-            current = {"name": name, "source": src, "steps": [], "expect": None}
+            sources[current], steps[current] = src, []
             continue
         if current is None or not indented:
             raise ParseError("script steps must be indented under a script header", lineno, token=stmt)
@@ -406,7 +396,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError("elem needs a positive index", lineno, token=tok)
             if direction not in ("L", "R"):
                 raise ParseError("elem direction must be L or R", lineno, token=direction)
-            current["steps"].append(Elem(idx, direction))
+            steps[current].append(Elem(idx, direction))
         elif stmt == "conj":
             pairs = _parse_conj(toks)
             toks.require_done()
@@ -417,14 +407,14 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                     letters.extend([(system.letter(name), sign)] * abs(exp))
             except UnknownCurve as exc:
                 raise ParseError(str(exc), lineno) from exc
-            current["steps"].append(Conj(Word(system, letters)))
+            steps[current].append(Conj(Word(system, letters)))
         elif stmt == "rot":
             tok = toks.next()
             toks.require_done()
             k = _int(tok, lineno)
             if not k:
                 raise ParseError("rot needs a nonzero integer", lineno, token=tok)
-            current["steps"].append(Rotate(k))
+            steps[current].append(Rotate(k))
         elif stmt == "subst":
             rel = toks.next()
             toks.next("@")
@@ -438,17 +428,16 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError("subst needs a positive position", lineno, token=tok)
             if direction not in ("fwd", "rev"):
                 raise ParseError("subst direction must be fwd or rev", lineno, token=direction)
-            current["steps"].append(Subst(rel, pos, direction))
+            steps[current].append(Subst(rel, pos, direction))
         elif stmt == "expect":
             name = toks.next()
             toks.require_done()
             if name not in system.words:
                 raise ParseError(f"word {name!r} is not declared in the system", lineno)
-            current["expect"] = name
+            expects[current] = name
         else:
             raise ParseError(f"unknown script step {stmt!r}", lineno, token=stmt)
-    finish()
-    return scripts
+    return {n: DerivationScript(n, sources[n], tuple(steps[n]), expects.get(n)) for n in steps}
 
 
 def read_source(path: str | Path) -> str:

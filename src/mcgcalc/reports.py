@@ -113,13 +113,6 @@ def singular_fiber_census(system: CurveSystem, w: Word) -> Census:
     return Census(n0, tuple(sorted(sep.items())), sep_unknown, class_unknown)
 
 
-def _relator_status(system: CurveSystem, w: Word) -> str:
-    try:
-        return "verified" if sp.is_homological_relator(system, w) else "failed"
-    except UnknownClass:
-        return "assumed"
-
-
 def fiber_sum(system: CurveSystem, left: Word, right: Word, conjugator: Word) -> Word:
     """Monodromy of the fiber sum: left * [W]right.
 
@@ -130,8 +123,11 @@ def fiber_sum(system: CurveSystem, left: Word, right: Word, conjugator: Word) ->
     if left.system is not system or right.system is not system:
         raise SystemMismatch("fiber summands must live in the given system")
     for w, name in ((left, "left"), (right, "right")):
-        if _relator_status(system, w) == "failed":
-            raise NotARelator(f"{name} fiber summand is not a homological relator")
+        try:
+            if not sp.is_homological_relator(system, w):
+                raise NotARelator(f"{name} fiber summand is not a homological relator")
+        except UnknownClass:
+            pass
     return left * push_forward_word(conjugator, right)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import symplectic as sp
 from .errors import (
@@ -115,6 +115,8 @@ class CurveSystem:
 
     def add_septype(self, name: str, h: int) -> None:
         self._require(name)
+        if name in self.septype:
+            raise ValueError(f"septype {name!r} already declared")
         self.septype[name] = int(h)
 
     def add_relation(self, decl: RelationDecl) -> None:
@@ -400,6 +402,51 @@ def _image_points(m: sp.Mat, bound: int) -> list[Vec]:
     return points
 
 
+def _complete(
+    d: list[tuple[Vec, int]], filled: tuple[Optional[Vec], ...], bound: int
+) -> Iterator[tuple[Vec, Vec, Vec]]:
+    """Every completion of ``filled`` to T(r0) T(r1) T(r2) = D.
+
+    D = T(d0)...T(d3) is given by its factors ``d``; ``filled`` holds the
+    three classes r0, r1, r2, None for each unknown, and unknowns range
+    over [-bound, bound].  With no unknown the two products are
+    compared.  Otherwise stripping the known factors around the first
+    unknown r_p gives M = pre^-1 D post^-1, for the product pre of the
+    factors before r_p and post of the known ones after it:
+
+    - one unknown: M = T(r_p), recognized directly;
+    - two unknowns, the known class k last: M = D T_k^-1 = T(r0) T(r1);
+    - k first: M = T_k^-1 D = T(r1) T(r2);
+    - k in the middle: M = D T_k^-1 = T(r0) T_k T(r2) T_k^-1 = T(r0) T(T_k r2),
+      since T_k T_w T_k^-1 = T_{T_k w}.
+
+    So with two unknowns M = T(r_p) T_w for some w, and M - I maps x to
+    <x, w> w + <x, r_p + <w, r_p> w> r_p, whose image lies in
+    span(r_p, w) and contains r_p: it is that plane when r_p and w are
+    independent, and otherwise the line through them (0 when both vanish).
+    Hence rank(M - I) <= 2 (no solution when it is larger) and r_p
+    ranges over the integer points of the image of M - I in the box,
+    at most (2b+1)^rank of them.  Each point fills r_p, and the
+    remaining unknown is decided by the exact one-unknown check, so this
+    only narrows the candidates, never the answers.
+    """
+    identity = sp.mat_identity(len(d[0][0]))
+    if None not in filled:
+        if sp.twist_product(identity, d) == sp.twist_product(identity, [(v, 1) for v in filled]):
+            yield filled
+        return
+    p = filled.index(None)
+    pre_inv = [(v, -1) for v in reversed(filled[:p])]
+    post_inv = [(v, -1) for v in reversed(filled[p + 1:]) if v is not None]
+    m = sp.twist_product(identity, pre_inv + d + post_inv)
+    if filled.count(None) == 1:
+        for v in _recognize_transvection(m, bound):
+            yield filled[:p] + (v,) + filled[p + 1:]
+    else:
+        for v in _image_points(m, bound):
+            yield from _complete(d, filled[:p] + (v,) + filled[p + 1:], bound)
+
+
 def solve_lantern_classes(
     system: CurveSystem,
     d_names: Sequence[str],
@@ -410,93 +457,33 @@ def solve_lantern_classes(
 
     ``right`` has three entries: a curve name where the class is known,
     or None for an unknown.  Unknown classes are searched over integer
-    vectors with coefficients in [-bound, bound].  Returns the full list
-    of assignments (known positions filled in), in deterministic order.
-    Raises InvalidSearch for a bound below 1, for three unknowns, and
-    for two unknowns whose box exceeds ``LANTERN_BOX_LIMIT``.
-
-    Two unknowns p < q and a known class k at kpos: the product of the
-    two unknown twists is a matrix M computed from D = T(d0)...T(d3):
-
-    - kpos = 2: M = D T_k^-1 = T(r0) T(r1);
-    - kpos = 0: M = T_k^-1 D = T(r1) T(r2);
-    - kpos = 1: M = D T_k^-1 = T(r0) T_k T(r2) T_k^-1 = T(r0) T(T_k r2),
-      since T_k T_w T_k^-1 = T_{T_k w}.
-
-    So M = T(r_p) T_w for some w, and M - I maps x to
-    <x, w> w + <x, r_p + <w, r_p> w> r_p, whose image lies in
-    span(r_p, w) and contains r_p: it is that plane when r_p and w are
-    independent, and otherwise the line through them (0 when both vanish).
-    Hence rank(M - I) <= 2 (no solution when it is larger) and r_p
-    ranges over the integer points of the image of M - I in the box,
-    at most (2b+1)^rank of them.  Each candidate is still decided by
-    the exact check that T(r_q) is the forced factor, so this only
-    narrows the candidates, never the answers.
+    vectors with coefficients in [-bound, bound] (see ``_complete``).
+    Returns the full list of assignments (known positions filled in), in
+    deterministic order.  Raises InvalidSearch for a bound below 1, for
+    three unknowns, and for two unknowns whose box exceeds
+    ``LANTERN_BOX_LIMIT``.
     """
     if len(d_names) != 4 or len(right) != 3:
         raise MalformedRelation("lantern needs 4 left names and 3 right entries")
     if bound < 1:
         raise InvalidSearch(f"bound must be at least 1, got {bound}")
-    g = system.genus
-    d = []
-    for name in d_names:
+
+    def known_class(name):
         cls = system.class_of(name)
         if cls is None:
             raise UnknownClass(f"curve {name!r} has no declared class")
-        d.append((cls, 1))
+        return cls
 
-    known: dict[int, Vec] = {}
-    unknown = []
-    for i, entry in enumerate(right):
-        if entry is None:
-            unknown.append(i)
-        else:
-            cls = system.class_of(entry)
-            if cls is None:
-                raise UnknownClass(f"curve {entry!r} has no declared class")
-            known[i] = cls
-    identity = sp.mat_identity(2 * g)
-    if not unknown:
-        lhs = sp.twist_product(identity, d)
-        rhs = sp.twist_product(identity, [(known[i], 1) for i in range(3)])
-        return [tuple(known[i] for i in range(3))] if lhs == rhs else []
-    if len(unknown) > 2:
+    d = [(known_class(name), 1) for name in d_names]
+    filled = tuple(None if entry is None else known_class(entry) for entry in right)
+    if filled.count(None) > 2:
         raise InvalidSearch("at least one right-side class must be known")
-
-    def forced_factor(q, factors):
-        # T(r0) T(r1) T(r2) = T(d0) ... T(d3) with every factor but T(r_q)
-        # given: T(r_q) = pre^-1 T(d0) ... T(d3) post^-1.
-        pre_inv = [(factors[i], -1) for i in reversed(range(q))]
-        post_inv = [(factors[i], -1) for i in range(2, q, -1)]
-        return sp.twist_product(identity, pre_inv + d + post_inv)
-
-    results = []
-    if len(unknown) == 1:
-        p = unknown[0]
-        for v in _recognize_transvection(forced_factor(p, known), bound):
-            filled = [known.get(i) for i in range(3)]
-            filled[p] = v
-            results.append(tuple(filled))
-        return sorted(results)
-
-    box = (2 * bound + 1) ** (2 * g)
-    if box > LANTERN_BOX_LIMIT:
-        raise InvalidSearch(
-            f"two unknown classes at genus {g}, bound {bound} mean {box} candidates, "
-            f"more than the limit of {LANTERN_BOX_LIMIT}"
-        )
-    p, q = unknown
-    kpos = ({0, 1, 2} - {p, q}).pop()
-    k = [(known[kpos], -1)]
-    m = sp.twist_product(identity, k + d if kpos == 0 else d + k)
-    for vec in _image_points(m, bound):
-        # with r_p fixed, the remaining factor is forced; recognize it.
-        target = forced_factor(q, {p: vec, kpos: known[kpos]})
-        for w in _recognize_transvection(target, bound):
-            filled = [known.get(i) for i in range(3)]
-            filled[p] = tuple(vec)
-            filled[q] = w
-            entry = tuple(filled)
-            if entry not in results:
-                results.append(entry)
-    return sorted(results)
+    if filled.count(None) == 2:
+        g = system.genus
+        box = (2 * bound + 1) ** (2 * g)
+        if box > LANTERN_BOX_LIMIT:
+            raise InvalidSearch(
+                f"two unknown classes at genus {g}, bound {bound} mean {box} candidates, "
+                f"more than the limit of {LANTERN_BOX_LIMIT}"
+            )
+    return sorted(set(_complete(d, filled, bound)))

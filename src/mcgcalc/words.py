@@ -25,6 +25,7 @@ different curve).  All values are immutable and all operations pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Tuple, TypeVar
 
 from .errors import McgError, SystemMismatch
@@ -153,25 +154,8 @@ class Letter:
 
 def render_pairs(pairs: Iterable[Pair]) -> str:
     """Render a twist sequence, folding runs into powers: ``c1^-2 c3``."""
-    parts = []
-    run_name = None
-    run_sign = 0
-    run_len = 0
-
-    def flush():
-        if run_name is None:
-            return
-        exp = run_sign * run_len
-        parts.append(run_name if exp == 1 else f"{run_name}^{exp}")
-
-    for name, sign in pairs:
-        if name == run_name and sign == run_sign:
-            run_len += 1
-        else:
-            flush()
-            run_name, run_sign, run_len = name, sign, 1
-    flush()
-    return " ".join(parts)
+    runs = ((name, sign * len(list(run))) for (name, sign), run in groupby(pairs))
+    return " ".join(name if exp == 1 else f"{name}^{exp}" for name, exp in runs)
 
 
 def render_letter(letter: Letter, sign: int = 1) -> str:

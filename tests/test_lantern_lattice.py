@@ -1,10 +1,12 @@
-"""The two-unknown lantern search against the box walk it replaced.
+"""The lantern search against a plain walk over the box.
 
-``solve_lantern_classes`` takes the first unknown class from the integer
-points of the image of M - I, a lattice of rank at most 2 (see its
-docstring).  ``box_walk_lantern`` is the plain search over every vector
-of [-b, b]^(2g); both must return the same list, and the solver must
-try at most (2b+1)^rank(M - I) candidates.
+``solve_lantern_classes`` completes zero, one or two unknown classes;
+with two it takes the first from the integer points of the image of
+M - I, a lattice of rank at most 2 (see ``system._complete``).
+``box_walk_lantern`` checks every vector of [-b, b]^(2g) for each
+unknown by dense matrix products; both must return the same list, and
+the solver must try at most (2b+1)^rank(M - I) candidates for two
+unknowns and recognize one forced factor for one.
 """
 
 from __future__ import annotations
@@ -18,27 +20,45 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mcgcalc import system as system_mod
-from mcgcalc.symplectic import mat_identity, mat_mul, transvection, twist_product
+from mcgcalc.symplectic import mat_identity, mat_mul, symplectic_inverse, transvection
 from mcgcalc.system import CurveSystem, _recognize_transvection, solve_lantern_classes
 
 D_NAMES = ["d0", "d1", "d2", "d3"]
 
 
+def dense_product(system, classes):
+    """T(c_1) ... T(c_k) as mat_mul products of transvection matrices."""
+    m = mat_identity(2 * system.genus)
+    for cls in classes:
+        m = mat_mul(m, transvection(cls))
+    return m
+
+
 def box_walk_lantern(system, d_names, right, bound):
-    """Every vector of [-b, b]^(2g) as the first unknown; the second is forced."""
-    identity = mat_identity(2 * system.genus)
-    d = [(system.class_of(name), 1) for name in d_names]
-    known = {i: system.class_of(e) for i, e in enumerate(right) if e is not None}
-    p, q = [i for i, e in enumerate(right) if e is None]
+    """Every vector of [-b, b]^(2g) for each unknown, by dense products.
+
+    The unknowns before the last one, r_q, walk the box.  For each of
+    their values, with L the product of the factors before r_q and P of
+    those after it, r_q is every box vector w whose T(w) P equals
+    L^-1 D, found in a table of T(w) P over the whole box.
+    """
+    box = list(itertools.product(range(-bound, bound + 1), repeat=2 * system.genus))
+    d = dense_product(system, [system.class_of(name) for name in d_names])
+    filled = [None if e is None else system.class_of(e) for e in right]
+    unknown = [i for i, cls in enumerate(filled) if cls is None]
+    if not unknown:
+        return [tuple(filled)] if dense_product(system, filled) == d else []
+    *first, q = unknown
+    tails = {}
+    for w in box:
+        tails.setdefault(dense_product(system, [w] + filled[q + 1:]), []).append(w)
     out = []
-    for vec in itertools.product(range(-bound, bound + 1), repeat=2 * system.genus):
-        factors = {**known, p: vec}
-        pre_inv = [(factors[i], -1) for i in reversed(range(q))]
-        post_inv = [(factors[i], -1) for i in range(2, q, -1)]
-        for w in _recognize_transvection(twist_product(identity, pre_inv + d + post_inv), bound):
-            filled = [known.get(i) for i in range(3)]
-            filled[p], filled[q] = vec, w
-            out.append(tuple(filled))
+    for values in itertools.product(box, repeat=len(first)):
+        head = filled[:q]
+        for i, vec in zip(first, values):
+            head[i] = vec
+        target = mat_mul(symplectic_inverse(dense_product(system, head)), d)
+        out += [tuple(head + [w] + filled[q + 1:]) for w in tails.get(target, [])]
     return sorted(out)
 
 
@@ -84,13 +104,27 @@ def right_with_known(kpos):
     return right
 
 
+def search_case(genus, d_classes, r_classes, unknown):
+    """d0..d3 and each known r_i, declared as ``ri``, with the right side."""
+    system = CurveSystem(genus)
+    right = [None if i in unknown else f"r{i}" for i in range(3)]
+    for name, cls in zip(D_NAMES + right, list(d_classes) + list(r_classes)):
+        if name is not None:
+            system.add_curve(name, cls)
+    return system, right
+
+
 def check_against_box_walk(system, right, bound, d_names=D_NAMES):
-    """Same answer as the box walk, from at most (2b+1)^rank candidates."""
-    rank = rank_minus_identity(two_twist_matrix(system, d_names, right))
+    """Same answer as the box walk; for two unknowns from at most
+    (2b+1)^rank candidates, and otherwise from one recognition per unknown."""
     with mock.patch.object(system_mod, "_recognize_transvection",
                            wraps=_recognize_transvection) as spy:
         got = solve_lantern_classes(system, d_names, right, bound=bound)
     assert got == box_walk_lantern(system, d_names, right, bound)
+    if right.count(None) < 2:
+        assert spy.call_count == right.count(None)
+        return None, got
+    rank = rank_minus_identity(two_twist_matrix(system, d_names, right))
     assert spy.call_count <= (2 * bound + 1) ** rank
     if rank > 2:
         assert got == [] and spy.call_count == 0
@@ -101,17 +135,16 @@ def check_against_box_walk(system, right, bound, d_names=D_NAMES):
 def lantern_searches(draw):
     genus, bound = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
     cls = st.tuples(*[st.integers(-2, 2)] * (2 * genus))
-    kpos = draw(st.integers(0, 2))
+    # no unknown, one at each position, or two around the known class
+    unknown = draw(st.sampled_from([(), (0,), (1,), (2,), (1, 2), (0, 2), (0, 1)]))
+    r = [draw(cls) for _ in range(3)]
     if draw(st.booleans()):
         # T(r0) T(r1) T(r2) with a null-homologous d inserted: a solution exists
-        r = [draw(cls) for _ in range(3)]
         d = list(r)
         d.insert(draw(st.integers(0, 3)), (0,) * (2 * genus))
-        k = r[kpos]
     else:
         d = [draw(cls) for _ in range(4)]
-        k = draw(cls)
-    return build_system(genus, d, k), right_with_known(kpos), bound
+    return (*search_case(genus, d, r, unknown), bound)
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,7 +152,8 @@ def lantern_searches(draw):
 def test_lattice_search_matches_box_walk(case):
     system, right, bound = case
     rank, got = check_against_box_walk(system, right, bound)
-    event(f"rank {min(rank, 3)}{', solved' if got else ''}")
+    level = f"unknowns {right.count(None)}" if rank is None else f"rank {min(rank, 3)}"
+    event(f"{level}{', solved' if got else ''}")
 
 
 Z = (0, 0, 0, 0)
@@ -140,6 +174,17 @@ def test_explicit_ranks_match_box_walk(d, rank, kpos):
     got_rank, got = check_against_box_walk(system, right_with_known(kpos), 2)
     assert got_rank == rank
     assert bool(got) == (rank <= 2)
+
+
+A1, B1, A1B1 = (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)
+
+
+@pytest.mark.parametrize("unknown", [(), (0,), (1,), (2,), (1, 2), (0, 2), (0, 1)])
+def test_noncommuting_factors_match_box_walk(unknown):
+    # r0, r1, r2 pair to +-1 with each other, so each product order shows
+    system, right = search_case(2, [A1, B1, A1B1, Z], [A1, B1, A1B1], unknown)
+    rank, got = check_against_box_walk(system, right, 2)
+    assert (A1, B1, A1B1) in got
 
 
 @pytest.mark.parametrize("fixture,d_names,known,bound,rank", [

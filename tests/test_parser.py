@@ -208,3 +208,20 @@ def test_parse_error_names_the_column_of_its_token(line, message, token, col):
     assert (exc.value.line, exc.value.col, exc.value.token) == (4, col, token)
     assert line[col - 1:].startswith(token)
     assert str(exc.value) == f"line 4, col {col}: {message} (at {token!r})"
+
+
+@pytest.mark.parametrize(
+    "system_lines, script_text, error",
+    [
+        ("septype c1 1\nseptype c1 1\n", "",
+         (6, None, "line 6: septype 'c1' already declared")),
+        ("", "script A on w:\n  rot 1\nscript A on w:\n  rot 2\n",
+         (3, 8, "line 3, col 8: script 'A' already declared (at 'A')")),
+    ],
+    ids=["septype", "script"],
+)
+def test_repeated_declaration_is_refused(system_lines, script_text, error):
+    head = "genus 2\ncurve c1 = 0\ncurve c2 = b1\nword w = c2\n"
+    with pytest.raises(ParseError) as exc:
+        parse_scripts(script_text, parse_system(head + system_lines))
+    assert (exc.value.line, exc.value.col, str(exc.value)) == error
