@@ -22,7 +22,8 @@ parentheses nest at most ``MAX_NESTING`` deep and the genus is at most
 ``MAX_GENUS``.  The conjugator reads in display order: the leftmost
 twist is applied last.  ``#`` starts a comment.  Files are UTF-8 text.
 Every declared NAME (curve, word, relation, script) is an identifier,
-and a curve, word, relation, script or septype is declared once.
+a curve, word, relation, script or septype is declared once, and a
+script has at most one ``expect``.
 ``load_system`` is the one gate from a system file to a validated
 system.
 
@@ -114,18 +115,24 @@ class _Tokens:
             raise ParseError("trailing input", self.line, self.col(), self.toks[self.i])
 
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# a token is a name exactly when its first character may start one: no
+# token is empty, and the tokenizer's first alternative reads whole names
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _INT = re.compile(r"-?\d+$")
+_BASIS = re.compile(r"([ab])(\d+)$")
+
+# a conjugated atom's tokens, from "[" through its base name, to its letter
+_Memo = dict[tuple[str, ...], Letter]
 
 
 def _is_name(tok: Optional[str]) -> bool:
-    return tok is not None and _NAME.match(tok) is not None
+    return tok is not None and tok[0] in _NAME_START
 
 
 def _name(toks: _Tokens) -> str:
     """The next token, which must be a name."""
     tok = toks.next()
-    if _NAME.match(tok) is None:
+    if not _is_name(tok):
         raise ParseError("expected name", toks.line, toks.last_col(), tok)
     return tok
 
@@ -170,7 +177,7 @@ def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
         if not _is_name(tok):
             raise ParseError("expected basis symbol", toks.line, toks.col(), tok)
         name = toks.next()
-        m = re.match(r"([ab])(\d+)$", name)
+        m = _BASIS.match(name)
         k = _int(m.group(2), toks.line) if m else None
         if k is None or not (1 <= k <= genus):
             raise ParseError(
@@ -185,32 +192,61 @@ def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
 
 
 def _parse_conj(toks: _Tokens) -> list[tuple[str, int]]:
-    out = []
+    """The (name, exponent) pairs of a conjugator, read in one pass.
+
+    Walks ``toks.toks`` with a local index and converts only exponent
+    tokens; ``toks.i`` is set before every raise, so an error names the
+    column of its token.
+    """
+    seq, line = toks.toks, toks.line
+    i, n = toks.i, len(seq)
+    out: list[tuple[str, int]] = []
     twists = 0
-    while _is_name(toks.peek()):
-        name = toks.next()
-        exp = 1
-        if toks.peek() == "^":
-            toks.next()
-            tok = toks.next()
-            exp = _int(tok, toks.line)
+    while i < n and seq[i][0] in _NAME_START:
+        name, exp = seq[i], 1
+        i += 1
+        if i < n and seq[i] == "^":
+            if i + 1 == n:
+                toks.i = n
+                raise ParseError("unexpected end of line", line)
+            tok = seq[i + 1]
+            toks.i = i = i + 2
+            exp = _int(tok, line)
             if exp is None:
-                raise ParseError("expected integer exponent", toks.line, toks.last_col(), tok)
+                raise ParseError("expected integer exponent", line, toks.last_col(), tok)
             if exp == 0:
-                raise ParseError("conjugator exponent must be nonzero", toks.line)
+                raise ParseError("conjugator exponent must be nonzero", line)
         twists += abs(exp)
         if twists > MAX_WORD_LETTERS:
-            raise ParseError(f"conjugator expands past {MAX_WORD_LETTERS} twists", toks.line)
+            toks.i = i
+            raise ParseError(f"conjugator expands past {MAX_WORD_LETTERS} twists", line)
         out.append((name, exp))
+    toks.i = i
     if not out:
-        raise ParseError("empty conjugator", toks.line, toks.col(), toks.peek())
+        raise ParseError("empty conjugator", line, toks.col(), toks.peek())
     return out
 
 
-def _parse_atom(toks: _Tokens, system: CurveSystem) -> Letter:
+def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
+    """The next atom's letter.
+
+    ``memo`` holds the conjugated atoms already read in this parse, so a
+    repeated atom text is read and normalized once.
+    """
+    seq, start = toks.toks, toks.i
     conj: list[tuple[str, int]] = []
+    key = None
     if toks.peek() == "[":
-        toks.next()
+        try:
+            key = tuple(seq[start : seq.index("]", start) + 2])
+        except ValueError:  # no ']': the reader reports it
+            pass
+        else:
+            letter = memo.get(key)
+            if letter is not None:
+                toks.i = start + len(key)
+                return letter
+        toks.i = start + 1
         conj = _parse_conj(toks)
         toks.next("]")
     base = toks.next()
@@ -218,9 +254,12 @@ def _parse_atom(toks: _Tokens, system: CurveSystem) -> Letter:
         where = " after conjugator" if conj else ""
         raise ParseError(f"expected curve name{where}", toks.line, toks.last_col(), base)
     try:
-        return system.letter(base, conj)
+        letter = system.letter(base, conj)
     except UnknownCurve as exc:
         raise ParseError(str(exc), toks.line) from exc
+    if key is not None:
+        memo[key] = letter
+    return letter
 
 
 def _word_power(toks: _Tokens) -> int:
@@ -240,7 +279,7 @@ def _extend(letters: list[Letter], unit: list[Letter], power: int, line: int) ->
     letters.extend(unit * power)
 
 
-def _parse_word_expr(toks: _Tokens, system: CurveSystem, depth: int = 0) -> list[Letter]:
+def _parse_word_expr(toks: _Tokens, system: CurveSystem, memo: _Memo, depth: int = 0) -> list[Letter]:
     letters: list[Letter] = []
     while not toks.done():
         tok = toks.peek()
@@ -252,12 +291,12 @@ def _parse_word_expr(toks: _Tokens, system: CurveSystem, depth: int = 0) -> list
             if depth >= MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", toks.line)
             toks.next()
-            inner = _parse_word_expr(toks, system, depth + 1)
+            inner = _parse_word_expr(toks, system, memo, depth + 1)
             toks.next(")")
             toks.next("^")
             _extend(letters, inner, _word_power(toks), toks.line)
             continue
-        atom = _parse_atom(toks, system)
+        atom = _parse_atom(toks, system, memo)
         power = 1
         if toks.peek() == "^":
             toks.next()
@@ -268,15 +307,15 @@ def _parse_word_expr(toks: _Tokens, system: CurveSystem, depth: int = 0) -> list
     return letters
 
 
-def _word_body(toks: _Tokens, system: CurveSystem) -> Word:
+def _word_body(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Word:
     """The word the rest of the line spells."""
-    letters = _parse_word_expr(toks, system)
+    letters = _parse_word_expr(toks, system, memo)
     toks.require_done()
     return Word(system, tuple((l, 1) for l in letters))
 
 
 def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
-    return _word_body(_Tokens(text, line), system)
+    return _word_body(_Tokens(text, line), system, {})
 
 
 def _strip(line: str) -> str:
@@ -337,20 +376,22 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
     if system is None:
         raise ParseError("missing genus statement", 1)
 
-    # relations and words resolve after all curves exist
+    # relations and words resolve after all curves exist, and after every
+    # disjoint and meet1 fact, so an atom text has one letter per parse
+    memo: _Memo = {}
     for lineno, toks, stmt in pending:
         try:
             name = _name(toks)
             if stmt == "word":
                 toks.next("=")
-                system.add_word(name, _word_body(toks, system))
+                system.add_word(name, _word_body(toks, system, memo))
                 continue
             toks.next(":")
             shape = RELATION_KINDS[stmt]
-            atoms = [_parse_atom(toks, system) for _ in range(shape.before)]
+            atoms = [_parse_atom(toks, system, memo) for _ in range(shape.before)]
             if shape.after:
                 toks.next("=>")
-                atoms += [_parse_atom(toks, system) for _ in range(shape.after)]
+                atoms += [_parse_atom(toks, system, memo) for _ in range(shape.after)]
             toks.require_done()
             system.add_relation(make_relation(stmt, name, *atoms))
         except (ValueError, UnknownCurve) as exc:
@@ -432,6 +473,8 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
         elif stmt == "expect":
             name = toks.next()
             toks.require_done()
+            if current in expects:
+                raise ParseError(f"script {current!r} already has an expect", lineno)
             if name not in system.words:
                 raise ParseError(f"word {name!r} is not declared in the system", lineno)
             expects[current] = name

@@ -175,14 +175,15 @@ class CurveSystem:
             return self._letters[key]
         except KeyError:
             pass
-        self._require(base)
+        # each distinct name once, base first, so the first undeclared
+        # curve is named
+        for name in dict.fromkeys([base, *(name for name, _ in conj)]):
+            self._require(name)
         pairs: list[tuple[str, int]] = []
         for name, exp in conj:
-            self._require(name)
             if exp == 0:
                 raise ValueError("conjugator exponent must be nonzero")
-            sign = 1 if exp > 0 else -1
-            pairs.extend((name, sign) for _ in range(abs(exp)))
+            pairs += [(name, 1 if exp > 0 else -1)] * abs(exp)
         letter = self._letters[key] = Letter(*normalize_conjugator(self, pairs, base))
         return letter
 

@@ -217,8 +217,10 @@ def test_parse_error_names_the_column_of_its_token(line, message, token, col):
          (6, None, "line 6: septype 'c1' already declared")),
         ("", "script A on w:\n  rot 1\nscript A on w:\n  rot 2\n",
          (3, 8, "line 3, col 8: script 'A' already declared (at 'A')")),
+        ("", "script A on w:\n  expect w\n  rot 1\n  expect w\n",
+         (4, None, "line 4: script 'A' already has an expect")),
     ],
-    ids=["septype", "script"],
+    ids=["septype", "script", "expect"],
 )
 def test_repeated_declaration_is_refused(system_lines, script_text, error):
     head = "genus 2\ncurve c1 = 0\ncurve c2 = b1\nword w = c2\n"
