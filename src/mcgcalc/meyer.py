@@ -31,6 +31,13 @@ So tau(A, T_v^s) is one of -1, 0, 1 and costs one exact linear solve
 and a symmetric signature.  The general ``meyer_tau`` keeps the
 definition and is the oracle the tests hold the fast path to.
 
+The sum is additive over relator blocks: once the partial product is
+back at I, the sum goes on as if the word started there.  Each tau
+depends only on the prefix and the letter's (u, s), so a block of
+steps read again from I gives the same taus and ends at I again.
+``local_signature`` therefore reads a run of identical blocks, such as
+a fiber sum w^k, once and adds its value k times.
+
 Everything here is exact integer arithmetic: kernels come from
 unimodular column reduction, the solve from fraction-free elimination
 and the signature from a congruence recursion, so no floating point
@@ -242,22 +249,39 @@ def local_signature(system, pairs) -> tuple[int, Mat]:
     signature; for the two sides of a relation its difference is the
     signature shift of a substitution (see the moves module).
 
-    One pass over the letters: rho(v_k) = T_u^s with u the letter's
-    class, so each step is one ``_transvection_tau`` and one rank-1
-    update of the prefix.  Raises UnknownClass at the first opaque
-    letter.
+    rho(v_k) = T_u^s with u the letter's class, so a step is (u, s), or
+    None for a null-homologous letter (-1, prefix unchanged), and a
+    nonzero step costs one ``_transvection_tau`` and one rank-1 update
+    of the prefix.  A run of identical relator blocks costs one block:
+    each time the prefix is back at I, the steps read since the last
+    I point are a block, and while the next steps repeat it, its value
+    is added and the walk jumps past it.  This is exact, because each
+    tau depends only on the prefix and the step, so the same steps read
+    from I give the same taus and end at I again.  Each I point compares
+    at most the block just read, so the checks cost O(n) in all.
+    Raises UnknownClass at the first opaque letter.
     """
-    prefix = sp.mat_identity(2 * system.genus)
-    total = 0
-    separating = 0
+    steps = []
     for letter, sign in pairs:
         u = sp.letter_class(system, letter)
-        if any(u):
-            total += _transvection_tau(prefix, u, sign)
-            prefix = sp.twist_product(prefix, ((u, sign),))
+        steps.append((u, sign) if any(u) else None)
+    identity = prefix = sp.mat_identity(2 * system.genus)
+    total = mark_total = mark = i = 0
+    while i < len(steps):
+        step = steps[i]
+        i += 1
+        if step is None:
+            total -= 1
         else:
-            separating += 1
-    return total - separating, prefix
+            total += _transvection_tau(prefix, *step)
+            prefix = sp.twist_product(prefix, (step,))
+        if prefix == identity:
+            block, value = steps[mark:i], total - mark_total
+            while steps[i:i + len(block)] == block:
+                i += len(block)
+                total += value
+            mark, mark_total = i, total
+    return total, prefix
 
 
 def factorization_signature(system, w: Word) -> int:

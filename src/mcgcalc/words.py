@@ -235,9 +235,20 @@ def twist_conjugate_letter(W: Word, c: Letter) -> Letter:
 
 
 def push_forward_word(W: Word, V: Word) -> Word:
-    """Apply ``[W]`` to every letter of V (a free-group homomorphism)."""
+    """Apply ``[W]`` to every letter of V (a free-group homomorphism).
+
+    W is flattened once, and each distinct letter of V is normalized once.
+    """
     _check_same_system(W, V)
-    return Word(W.system, tuple((twist_conjugate_letter(W, l), s) for l, s in V.letters))
+    flat = flatten_word(W)
+    image: dict[Letter, Letter] = {}
+    letters = []
+    for l, s in V.letters:
+        m = image.get(l)
+        if m is None:
+            m = image[l] = Letter(*normalize_conjugator(W.system, flat + l.conj, l.base))
+        letters.append((m, s))
+    return Word(W.system, letters)
 
 
 def is_positive(w: Word) -> bool:

@@ -170,6 +170,27 @@ def test_push_forward_is_homomorphism(sys2):
         assert lhs == rhs
 
 
+twists = st.lists(st.tuples(st.sampled_from(names), st.sampled_from([1, -1])), max_size=4)
+signed_letters = st.lists(
+    st.tuples(st.sampled_from(names), twists, st.sampled_from([1, -1])), max_size=10
+)
+
+
+@given(signed_letters, signed_letters)
+@settings(max_examples=200, deadline=None)
+def test_push_forward_matches_letterwise_map(w_spec, v_spec):
+    # V repeats letters often, so the per-call normalization of each
+    # distinct letter is exercised along with the single flattening of W
+    s = chain_system()
+
+    def word(spec):
+        return Word(s, [(s.letter(base, conj), sign) for base, conj, sign in spec])
+
+    w, v = word(w_spec), word(v_spec)
+    expected = Word(s, [(twist_conjugate_letter(w, l), sg) for l, sg in v.letters])
+    assert push_forward_word(w, v) == expected
+
+
 def test_push_forward_preserves_length_and_positivity(sys2):
     w = sys2.word(["c1", "c2", "c3", "c4", "c5", "c5"])
     out = push_forward_word(sys2.word([("c1", -1), ("c2", 1)]), w)
