@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InvalidSystem, ParseError, UnknownCurve
 from .moves import Conj, DerivationScript, Elem, Rotate, Subst
@@ -121,7 +121,7 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _INT = re.compile(r"-?\d+$")
 _BASIS = re.compile(r"([ab])(\d+)$")
 
-# a conjugated atom's tokens, from "[" through its base name, to its letter
+# an atom's tokens, its one name or "[" through its base name, to its letter
 _Memo = dict[tuple[str, ...], Letter]
 
 
@@ -230,23 +230,25 @@ def _parse_conj(toks: _Tokens) -> list[tuple[str, int]]:
 def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
     """The next atom's letter.
 
-    ``memo`` holds the conjugated atoms already read in this parse, so a
-    repeated atom text is read and normalized once.
+    ``memo`` holds the atoms already read in this parse, so a repeated
+    atom text is read and normalized once.  Only an atom that parses is
+    stored, so a key cut short by the end of the line never hits.
     """
     seq, start = toks.toks, toks.i
-    conj: list[tuple[str, int]] = []
-    key = None
+    end = start + 1
     if toks.peek() == "[":
         try:
-            key = tuple(seq[start : seq.index("]", start) + 2])
-        except ValueError:  # no ']': the reader reports it
-            pass
-        else:
-            letter = memo.get(key)
-            if letter is not None:
-                toks.i = start + len(key)
-                return letter
-        toks.i = start + 1
+            end = seq.index("]", start) + 2
+        except ValueError:
+            end = len(seq)
+    key = tuple(seq[start:end])
+    letter = memo.get(key)
+    if letter is not None:
+        toks.i = end
+        return letter
+    conj: list[tuple[str, int]] = []
+    if toks.peek() == "[":
+        toks.next()
         conj = _parse_conj(toks)
         toks.next("]")
     base = toks.next()
@@ -254,11 +256,9 @@ def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
         where = " after conjugator" if conj else ""
         raise ParseError(f"expected curve name{where}", toks.line, toks.last_col(), base)
     try:
-        letter = system.letter(base, conj)
+        letter = memo[key] = system.letter(base, conj)
     except UnknownCurve as exc:
         raise ParseError(str(exc), toks.line) from exc
-    if key is not None:
-        memo[key] = letter
     return letter
 
 
@@ -318,23 +318,21 @@ def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
     return _word_body(_Tokens(text, line), system, {})
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.rstrip()
+def _statements(text: str) -> Iterator[tuple[int, bool, _Tokens, str]]:
+    """(line number, indented, tokens, statement) for each line that holds
+    more than a comment; the statement is the line's first token."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].rstrip()
+        if body:
+            toks = _Tokens(body, lineno)
+            yield lineno, body[0].isspace(), toks, toks.next()
 
 
 def parse_system(text: str, source: str = "<string>") -> CurveSystem:
     """Parse a system file; raises ParseError with line/column on errors."""
     system: Optional[CurveSystem] = None
     pending: list[tuple[int, _Tokens, str]] = []
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        body = _strip(raw)
-        if not body.strip():
-            continue
-        toks = _Tokens(body, lineno)
-        stmt = toks.next()
+    for lineno, _, toks, stmt in _statements(text):
         if stmt == "genus":
             if system is not None:
                 raise ParseError("duplicate genus statement", lineno)
@@ -405,13 +403,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
     expects: dict[str, str] = {}
     steps: dict[str, list] = {}
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip(raw)
-        if not body.strip():
-            continue
-        indented = body[0].isspace()
-        toks = _Tokens(body, lineno)
-        stmt = toks.next()
+    for lineno, indented, toks, stmt in _statements(text):
         if stmt == "script":
             current = _name(toks)
             if current in steps:

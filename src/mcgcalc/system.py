@@ -66,14 +66,13 @@ class CurveSystem:
         self.genus = genus
         self._curves: dict[str, Optional[Vec]] = {}
         self._decl_index: dict[str, int] = {}
-        # the names declared disjoint from each curve (symmetric); the
-        # normal form in words.normalize_conjugator reads these sets
+        # the names declared disjoint from, and meeting once, each curve
+        # (both symmetric); the normal form in words.normalize_conjugator
+        # reads these sets
         self._disjoint_of: dict[str, set[str]] = {}
-        self._meet1: set[frozenset[str]] = set()
-        # normal forms by (base, conjugator as given), valid until the
-        # next disjoint or meet1 fact, and classes by letter, which no
-        # later declaration changes.  Both live and die with this system.
-        self._letters: dict[tuple, Letter] = {}
+        self._meet1_of: dict[str, set[str]] = {}
+        # classes by letter, which no later declaration changes; the memo
+        # lives and dies with this system
         self._classes: dict[Letter, Optional[Vec]] = {}
         self.septype: dict[str, int] = {}
         self.relations: dict[str, RelationDecl] = {}
@@ -97,21 +96,18 @@ class CurveSystem:
         self._curves[name] = cls
 
     def add_disjoint(self, a: str, b: str) -> None:
-        self._require(a)
-        self._require(b)
-        if a == b:
-            raise ValueError(f"disjoint pair must name two distinct curves, got {a!r}")
-        self._disjoint_of.setdefault(a, set()).add(b)
-        self._disjoint_of.setdefault(b, set()).add(a)
-        self._letters.clear()
+        self._add_pair("disjoint", self._disjoint_of, a, b)
 
     def add_meet1(self, a: str, b: str) -> None:
+        self._add_pair("meet1", self._meet1_of, a, b)
+
+    def _add_pair(self, kind: str, facts: dict[str, set[str]], a: str, b: str) -> None:
         self._require(a)
         self._require(b)
         if a == b:
-            raise ValueError(f"meet1 pair must name two distinct curves, got {a!r}")
-        self._meet1.add(frozenset((a, b)))
-        self._letters.clear()
+            raise ValueError(f"{kind} pair must name two distinct curves, got {a!r}")
+        facts.setdefault(a, set()).add(b)
+        facts.setdefault(b, set()).add(a)
 
     def add_septype(self, name: str, h: int) -> None:
         self._require(name)
@@ -157,7 +153,7 @@ class CurveSystem:
         return b in self._disjoint_of.get(a, ())
 
     def is_meet1(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._meet1
+        return b in self._meet1_of.get(a, ())
 
     def decl_index(self, name: str) -> int:
         try:
@@ -168,13 +164,12 @@ class CurveSystem:
     # -- value factories ------------------------------------------------
 
     def letter(self, base: str, conj: Iterable[tuple[str, int]] = ()) -> Letter:
-        """A normalized letter; conjugator entries may carry exponents."""
+        """A normalized letter; conjugator entries may carry exponents.
+
+        Each call normalizes anew: the parser keeps the one memo, per atom
+        text, and reads every atom after the last disjoint or meet1 fact.
+        """
         conj = tuple(conj)
-        key = (base, conj)
-        try:
-            return self._letters[key]
-        except KeyError:
-            pass
         # each distinct name once, base first, so the first undeclared
         # curve is named
         for name in dict.fromkeys([base, *(name for name, _ in conj)]):
@@ -184,8 +179,7 @@ class CurveSystem:
             if exp == 0:
                 raise ValueError("conjugator exponent must be nonzero")
             pairs += [(name, 1 if exp > 0 else -1)] * abs(exp)
-        letter = self._letters[key] = Letter(*normalize_conjugator(self, pairs, base))
-        return letter
+        return Letter(*normalize_conjugator(self, pairs, base))
 
     def word(self, letters: Iterable) -> Word:
         """A word from letters, (letter, sign) pairs, or curve names."""
@@ -300,28 +294,23 @@ def validate_system(system: CurveSystem) -> list[str]:
     Facts involving opaque curves are not violations; they are recorded
     in ``system.assumptions`` at load time.
     """
-    violations: list[str] = []
     g = system.genus
-    disjoint = [(a, b) for a in sorted(system._disjoint_of)
-                for b in sorted(system._disjoint_of[a]) if a < b]
-    for a, b in disjoint:
-        if system.is_meet1(a, b):
-            violations.append(f"pair ({a}, {b}): declared both disjoint and meet1")
-    for a, b in disjoint:
+    # each declared pair once, as (kind, a, b) with a < b, the disjoint
+    # pairs first, and the |<a, b>| each kind requires
+    pairs = [(kind, a, b) for kind, facts in (("disjoint", system._disjoint_of),
+                                              ("meet1", system._meet1_of))
+             for a in sorted(facts) for b in sorted(facts[a]) if a < b]
+    required = {"disjoint": (0, "0"), "meet1": (1, "+-1")}
+    violations = [f"pair ({a}, {b}): declared both disjoint and meet1"
+                  for kind, a, b in pairs if kind == "disjoint" and system.is_meet1(a, b)]
+    for kind, a, b in pairs:
         ca, cb = system.class_of(a), system.class_of(b)
         if ca is None or cb is None:
             continue
         p = sp.pairing(ca, cb)
-        if p != 0:
-            violations.append(f"disjoint ({a}, {b}): symplectic pairing is {p}, not 0")
-    for pair in sorted(system._meet1, key=sorted):
-        a, b = sorted(pair)
-        ca, cb = system.class_of(a), system.class_of(b)
-        if ca is None or cb is None:
-            continue
-        p = sp.pairing(ca, cb)
-        if abs(p) != 1:
-            violations.append(f"meet1 ({a}, {b}): symplectic pairing is {p}, not +-1")
+        meet, spelled = required[kind]
+        if abs(p) != meet:
+            violations.append(f"{kind} ({a}, {b}): symplectic pairing is {p}, not {spelled}")
     for name, h in system.septype.items():
         cls = system.class_of(name)
         if cls is not None and any(cls):

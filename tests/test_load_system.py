@@ -41,7 +41,7 @@ def snapshot(system):
         system.genus,
         [(name, system.class_of(name)) for name in system.curve_names],
         sorted((a, sorted(b)) for a, b in system._disjoint_of.items()),
-        sorted(sorted(pair) for pair in system._meet1),
+        sorted((a, sorted(b)) for a, b in system._meet1_of.items()),
         system.septype,
         system.relations,
         {name: word.letters for name, word in system.words.items()},

@@ -227,3 +227,69 @@ def test_repeated_declaration_is_refused(system_lines, script_text, error):
     with pytest.raises(ParseError) as exc:
         parse_scripts(script_text, parse_system(head + system_lines))
     assert (exc.value.line, exc.value.col, str(exc.value)) == error
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("braid BR : c1", "unexpected end of line"),
+        ("lantern L : c1 c1 c2 c2 => c1 c2", "unexpected end of line"),
+        ("word w = c2 [c1", "unexpected end of line, expected ']'"),
+        ("word w = [c1]", "unexpected end of line"),
+    ],
+)
+def test_line_that_ends_inside_an_atom(tmp_path, line, message):
+    from tests.test_exit_codes import run
+
+    text = "genus 2\ncurve c1 = a1\ncurve c2 = b1\n" + line + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert (exc.value.line, exc.value.col, str(exc.value)) == (4, None, f"line 4: {message}")
+    path = tmp_path / "cut.mcg"
+    path.write_text(text)
+    assert run(["check", str(path)]) == (2, "", f"parse error: line 4: {message}\n")
+
+
+REPEATS = """genus 2
+curve c1 = a1
+curve c2 = b1
+curve c3 = a2
+meet1 c1 c2
+disjoint c1 c3
+word u = c1 [c1^2]c2 c2 c1 [c1^2]c2 [c2]c1
+word v = [c1 c1]c2 c3 (c1 [c2]c1)^2
+braid B : [c1^2]c2 c1
+commute C : [c2]c1 c3
+braid D : c1 c2
+"""
+
+
+def test_each_atom_text_is_normalized_once(monkeypatch):
+    import mcgcalc.system
+
+    calls = []
+    original = mcgcalc.system.normalize_conjugator
+
+    def spy(system, pairs, base):
+        calls.append((base, len(pairs)))
+        return original(system, pairs, base)
+
+    monkeypatch.setattr(mcgcalc.system, "normalize_conjugator", spy)
+    s = parse_system(REPEATS)
+    # c1, [c1^2]c2, c2 and [c2]c1 from u, then [c1 c1]c2 and c3 from v;
+    # the relations repeat only texts already read
+    assert calls == [("c1", 0), ("c2", 2), ("c2", 0), ("c1", 1), ("c2", 2), ("c3", 0)]
+
+    def same(got, want):
+        return len(got) == len(want) and all(x is y for x, y in zip(got, want))
+
+    u, v = ([letter for letter, _ in s.words[name].letters] for name in "uv")
+    c1, c1c2, c2, c2c1 = u[0], u[1], u[2], u[5]
+    c3 = v[1]
+    assert same(u, [c1, c1c2, c2, c1, c1c2, c2c1])
+    assert same(v[1:], [c3, c1, c2c1, c1, c2c1])
+    assert same(s.relations["B"].left, [c1c2, c1, c1c2])
+    assert same(s.relations["C"].left, [c2c1, c3])
+    assert same(s.relations["D"].left, [c1, c2, c1])
+    # two texts of one conjugator give equal letters, each normalized once
+    assert v[0] == c1c2 and v[0] is not c1c2

@@ -56,6 +56,26 @@ def test_disjoint_and_meet1_conflict_is_violation():
     assert any("both disjoint and meet1" in v for v in validate_system(s))
 
 
+def test_violations_come_in_a_fixed_order():
+    s = CurveSystem(2)
+    for name, cls in [("c1", A1), ("c2", B1), ("c3", A2), ("c4", B2), ("c5", (1, 0, 1, 0)),
+                      ("p", None)]:
+        s.add_curve(name, cls)
+    for kind, a, b in [("meet1", "c4", "c1"), ("disjoint", "c3", "c2"), ("disjoint", "c5", "c2"),
+                       ("meet1", "c3", "c1"), ("disjoint", "c4", "c3"), ("disjoint", "c2", "c1"),
+                       ("meet1", "c1", "c2"), ("meet1", "p", "c1"), ("disjoint", "c5", "p"),
+                       ("meet1", "c5", "c4")]:
+        (s.add_disjoint if kind == "disjoint" else s.add_meet1)(a, b)
+    assert validate_system(s) == [
+        "pair (c1, c2): declared both disjoint and meet1",
+        "disjoint (c1, c2): symplectic pairing is 1, not 0",
+        "disjoint (c2, c5): symplectic pairing is -1, not 0",
+        "disjoint (c3, c4): symplectic pairing is 1, not 0",
+        "meet1 (c1, c3): symplectic pairing is 0, not +-1",
+        "meet1 (c1, c4): symplectic pairing is 0, not +-1",
+    ]
+
+
 def test_unknown_curve_raises():
     s = CurveSystem(2)
     s.add_curve("c1", A1)
