@@ -98,7 +98,7 @@ def _cmd_replay(args) -> int:
             sig = "" if step.sigma is None else f"  sigma={step.sigma}"
             rho = {True: "rho ok", False: "RHO CHANGED", None: "rho n/a"}[step.rho_checked]
             print(f"  step {step.index:3d}  {step.move:24s} len={step.length}  {rho}{sig}")
-            print(f"           {step.word}")
+            print(f"           {render_word(step.word)}")
     if args.json:
         doc = {
             "script": name,
@@ -204,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("script")
     p.add_argument("--name", help="script name (default: first in file)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--trace", action="store_true")
+    # the trace is text and --json promises one document, so not both
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("sites", help="list substitution sites for a relation in a word")

@@ -2,8 +2,8 @@
 
 The two primitive equivalence moves on positive words are the
 elementary transformation (swap adjacent letters, conjugating one by
-the other) and simultaneous conjugation of the whole word.  Rotations
-are a convenience compiled down to those primitives.  Substitution
+the other) and simultaneous conjugation of the whole word.  A rotation
+is a composite of those primitives, built in one pass.  Substitution
 replaces one side of a declared, validated relation by the other.
 
 Every move preserves the homological relator property; replay asserts
@@ -144,32 +144,39 @@ def simultaneous_conjugation(w: Word, conjugator: Word) -> Word:
 
 
 def rotate(w: Word, k: int) -> Word:
-    """Cyclic rotation, compiled to elementary moves plus a conjugation.
+    """Cyclic rotation, built in one pass per single rotation.
 
     k > 0 moves the last k letters to the front, k < 0 the first |k|
-    letters to the end.  A single rotation returns the same curves in
-    cyclic order, but a letter may come back in another normal form
-    (``c1 [c2]c1`` rotated by -1 is ``[c1^-1]c2 c1``), so n single
-    rotations need not give back the word itself.  ``rotate(w, k)`` is
-    defined as |k| mod n single rotations in the direction of k.
+    letters to the end.  A single rotation by +1 with last letter z is
+    the n - 1 elementary moves that carry z to the front, giving z and
+    then [z^-1]x for every other letter x, followed by conjugation by z;
+    by -1 it is the mirror image.  It makes the normalizations those
+    moves make, in one push-forward of the other letters and one
+    conjugation, so the letters are the same.  A single rotation returns
+    the same curves in cyclic order, but a letter may come back in
+    another normal form (``c1 [c2]c1`` rotated by -1 is
+    ``[c1^-1]c2 c1``), so n single rotations need not give back the word
+    itself.  ``rotate(w, k)`` is defined as |k| mod n single rotations
+    in the direction of k.
     """
     _require_positive(w)
     n = len(w.letters)
     if n == 0 or k % n == 0:
         return w
+    system = w.system
     step = 1 if k > 0 else -1
     for _ in range(abs(k) % n):
-        n = len(w.letters)
         if step == 1:
-            z = w.letters[-1][0]
-            for i in range(n - 1, 0, -1):
-                w = elementary_transformation(w, i, "R")
-            w = simultaneous_conjugation(w, Word(w.system, ((z, 1),), _reduced=True))
+            z, others = w.letters[-1][0], w.letters[:-1]
         else:
-            z = w.letters[0][0]
-            for i in range(1, n):
-                w = elementary_transformation(w, i, "L")
-            w = simultaneous_conjugation(w, Word(w.system, ((z, -1),), _reduced=True))
+            z, others = w.letters[0][0], w.letters[1:]
+        moved = push_forward_word(
+            Word(system, ((z, -step),), _reduced=True), Word(system, others, _reduced=True)
+        ).letters
+        letters = ((z, 1),) + moved if step == 1 else moved + ((z, 1),)
+        w = push_forward_word(
+            Word(system, ((z, step),), _reduced=True), Word(system, letters, _reduced=True)
+        )
     return w
 
 
@@ -241,10 +248,17 @@ def relation_shift(system: CurveSystem, rel: RelationDecl, direction: str) -> in
 
 @dataclass
 class StepRecord:
+    """One replay step: the move, the word after it and what was checked.
+
+    ``word`` is the Word itself, not its text.  Rendering reads every
+    letter, so a step would cost the whole word; only ``replay --trace``
+    prints it, with ``render_word(step.word)``.
+    """
+
     index: int
     move: str
     length: int
-    word: str = ""
+    word: Word
     rho_checked: Optional[bool] = None  # None: not computable (opaque)
     assumed_relation: Optional[str] = None
     sigma: Optional[int] = None
@@ -322,7 +336,7 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
             raise ScriptError(idx, str(move), str(exc)) from exc
         if not is_positive(w):
             raise ScriptError(idx, str(move), "word is no longer positive")
-        record = StepRecord(idx, str(move), len(w.letters), render_word(w))
+        record = StepRecord(idx, str(move), len(w.letters), w)
         # the move replaced the old word's letters [start, stop) by the new
         # word's [start, stop + len(w) - len(before)); only their classes change
         if isinstance(move, Elem):

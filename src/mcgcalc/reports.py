@@ -225,7 +225,7 @@ def substitution_delta_report(system: CurveSystem, replay: ReplayResult) -> Delt
         f"{k} forward lantern substitution(s): rational blowdown along {k} "
         f"cop{'y' if k == 1 else 'ies'} of {lhs}, boundary {bdry}, each replaced by {rhs}",
         f"delta e = {delta_e} (expected {-k}), delta sigma = "
-        f"{'n/a' if delta_sigma is None else f'{delta_sigma:+d}'} (expected +{k})",
+        f"{'n/a' if delta_sigma is None else f'{delta_sigma:+d}'} (expected {k:+d})",
     ]
     checks = []
     try:

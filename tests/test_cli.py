@@ -91,6 +91,30 @@ def test_replay_trace(capsys):
     assert "step  37" in out or "step 37" in out
 
 
+def test_replay_trace_and_json_exit_2(capsys):
+    # the trace is text, so with it stdout would not be one JSON document
+    code, out, err = run(capsys, "replay", G2, EX53, "--trace", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: mcgcalc replay")
+    assert "not allowed with argument" in err
+
+
+def test_replay_reverse_lantern_delta_sign(capsys, tmp_path):
+    # a net reverse lantern expects delta sigma -1, written with its sign
+    back = tmp_path / "back.script"
+    back.write_text("script back on rhoprime:\n  subst LC @ 3 rev\n")
+    line = "delta e = 1 (expected 1), delta sigma = -1 (expected -1)"
+    code, out, _ = run(capsys, "replay", G2, str(back))
+    assert code == 0
+    assert f"  {line}\n" in out
+    code, out, _ = run(capsys, "replay", G2, str(back), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["lantern_forward_count"], doc["delta_sigma"]) == (-1, -1)
+    assert doc["lines"][1] == line
+
+
 def test_replay_corrupted_script_exits_1(capsys, tmp_path):
     bad = tmp_path / "bad.script"
     bad.write_text("script broken on rho:\n  elem 8 L\n  subst LA @ 9 fwd\n")

@@ -9,12 +9,14 @@ rho = I.  The two must agree on every step record, on the result and on
 the step and text of any error.
 """
 
+import json
 import random
 
 import pytest
 
 from mcgcalc import fixture_path
-from mcgcalc import moves
+from mcgcalc import moves, words
+from mcgcalc.cli import run_command
 from mcgcalc.errors import (
     InvalidRelation,
     McgError,
@@ -42,7 +44,7 @@ from mcgcalc.moves import (
 )
 from mcgcalc.parser import parse_scripts, parse_system
 from mcgcalc.system import RelationDecl
-from mcgcalc.words import is_positive, render_word
+from mcgcalc.words import Word, is_positive, render_word
 
 
 def _sigma(system, w):
@@ -79,7 +81,7 @@ def replay_full(system, script):
             raise ScriptError(idx, str(move), str(exc)) from exc
         if not is_positive(w):
             raise ScriptError(idx, str(move), "word is no longer positive")
-        record = StepRecord(idx, str(move), len(w.letters), render_word(w))
+        record = StepRecord(idx, str(move), len(w.letters), w)
         try:
             record.sigma = _sigma(system, w)
         except NotARelator:
@@ -440,3 +442,59 @@ def test_relation_shift_table(g2, g3, rel_g2, ex53):
                     assert delta == relation_shift(system, rel, direction), (rel.name, position, direction)
                     seen.add((rel.name, direction))
     assert {name for name, _ in seen} == set(SHIFTS)
+
+
+# --- rendering --------------------------------------------------------------
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """The words moves renders and the letters anything renders."""
+    calls = {"render_word": 0, "render_letter": 0}
+    for module, name in [(moves, "render_word"), (words, "render_letter")]:
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_replay_renders_no_step_word(g2, ex53, rendered):
+    # ex53 has no conj step, whose move text renders its conjugator
+    assert not any(isinstance(move, Conj) for move in ex53.steps)
+    result = replay_script(g2, ex53)
+    assert rendered == {"render_word": 0, "render_letter": 0}
+    assert all(isinstance(step.word, Word) for step in result.steps)
+    assert result.steps[-1].word == result.final
+
+
+def script_text(script):
+    lines = [f"script {script.name} on {script.source}:"]
+    lines += [f"  {move}" for move in script.steps] + [f"  expect {script.expect}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_replay_json_renders_the_same_letters_for_a_padded_script(
+    g2, ex53, rendered, tmp_path, capsys
+):
+    # padded_script's conj pairs undo each other as pairs, so dropping
+    # them leaves elem and rot pairs that undo each other
+    padded = padded_script(g2, ex53, 0, 6)
+    padded = DerivationScript(
+        padded.name, padded.source,
+        tuple(m for m in padded.steps if not isinstance(m, Conj)), padded.expect,
+    )
+    assert len(padded.steps) > 4 * len(ex53.steps)
+    counts = []
+    for script in (ex53, padded):
+        path = tmp_path / f"{script.name}.script"
+        path.write_text(script_text(script))
+        rendered["render_letter"] = 0
+        assert run_command(["replay", str(fixture_path("genus2_chain.mcg")), str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["steps"] == len(script.steps)
+        counts.append(rendered["render_letter"])
+    # the final word, once
+    assert counts == [len(g2.words["rhoprime"])] * 2
