@@ -96,7 +96,7 @@ def _cmd_replay(args) -> int:
     if args.trace:
         for step in result.steps:
             sig = "" if step.sigma is None else f"  sigma={step.sigma}"
-            rho = {True: "rho ok", False: "RHO CHANGED", None: "rho n/a"}[step.rho_checked]
+            rho = "rho ok" if step.rho_checked else "rho n/a"
             print(f"  step {step.index:3d}  {step.move:24s} len={step.length}  {rho}{sig}")
             print(f"           {render_word(step.word)}")
     if args.json:

@@ -259,7 +259,9 @@ class StepRecord:
     move: str
     length: int
     word: Word
-    rho_checked: Optional[bool] = None  # None: not computable (opaque)
+    # True, or None for an assumed relation's step that no earlier
+    # computable word checked
+    rho_checked: Optional[bool] = None
     assumed_relation: Optional[str] = None
     sigma: Optional[int] = None
     lantern_forward: bool = False
@@ -297,13 +299,14 @@ def _classes(system: CurveSystem, pairs) -> list:
 def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult:
     """Apply a script's moves in order with per-step verification.
 
-    After every step the word must stay positive and, whenever all
-    letter classes are computable, be a homological relator.  The first
-    computable word gets a full signature, which also checks rho = I.
-    After that each step compares the products of the letter classes
-    it removed and inserted, and moves sigma by 0 or by the relation's
-    shift (see the module docstring).  The first failing step raises
-    ScriptError with its index and move.
+    Every move refuses a word that is not positive and maps a positive
+    word to a positive one, so the word stays positive.  Whenever all
+    letter classes are computable it must also be a homological
+    relator.  The first computable word gets a full signature, which
+    also checks rho = I.  After that each step compares the products of
+    the letter classes it removed and inserted, and moves sigma by 0 or
+    by the relation's shift (see the module docstring).  The first
+    failing step raises ScriptError with its index and move.
     """
     if script.source not in system.words:
         raise ScriptError(0, "source", f"word {script.source!r} is not declared")
@@ -317,41 +320,54 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
     shifts: dict[tuple[str, str], int] = {}
 
     for idx, move in enumerate(script.steps, start=1):
-        before = w
+        n, rel = len(w.letters), None
+        record = StepRecord(idx, str(move), n, w)  # its word is set after the move
+        # each move also names the window [start, stop) of the old word
+        # that it replaced; only the classes of those letters change
         try:
             if isinstance(move, Elem):
                 w = elementary_transformation(w, move.index, move.direction)
+                start, stop = move.index - 1, move.index + 1
             elif isinstance(move, Conj):
                 w = simultaneous_conjugation(w, move.word)
+                start, stop = 0, n
             elif isinstance(move, Rotate):
                 w = rotate(w, move.k)
+                start, stop = 0, n
             elif isinstance(move, Subst):
                 rel = system.relations.get(move.relation)
                 if rel is None:
                     raise InvalidRelation(f"relation {move.relation!r} is not declared")
                 w = substitute(system, w, rel, move.position, move.direction)
+                start = move.position - 1
+                stop = start + len(_side(rel, move.direction)[0])
+                if rel.kind == "lantern":
+                    record.lantern_forward = move.direction == "fwd"
+                    record.lantern_reverse = move.direction == "rev"
+                if rel.status == "assumed":
+                    record.assumed_relation = rel.name
             else:
                 raise ValueError(f"unknown move {move!r}")
         except (IndexError, ValueError, SubstMismatch, InvalidRelation) as exc:
             raise ScriptError(idx, str(move), str(exc)) from exc
-        if not is_positive(w):
-            raise ScriptError(idx, str(move), "word is no longer positive")
-        record = StepRecord(idx, str(move), len(w.letters), w)
-        # the move replaced the old word's letters [start, stop) by the new
-        # word's [start, stop + len(w) - len(before)); only their classes change
-        if isinstance(move, Elem):
-            start, stop = move.index - 1, move.index + 1
-        elif isinstance(move, Subst):
-            start = move.position - 1
-            stop = start + len(_side(rel, move.direction)[0])
-        else:
-            start, stop = 0, len(before.letters)
+        record.length, record.word = len(w.letters), w
         removed = classes[start:stop]
-        inserted = _classes(system, w.letters[start : stop + len(w.letters) - len(before.letters)])
+        inserted = _classes(system, w.letters[start : stop + len(w.letters) - n])
         classes[start:stop] = inserted
-        if None in classes:
-            record.sigma = None
-        elif sigma is None:
+        if sigma is not None and None not in inserted:
+            # rho(before) = I, so rho(w) = I iff the window keeps its
+            # product, which is I when the window is the whole word
+            old = identity if stop - start == n else sp.twist_product(identity, removed)
+            if sp.twist_product(identity, inserted) != old:
+                raise ScriptError(idx, str(move), "homological image changed")
+            shift = 0  # elementary moves, conjugations and rotations
+            if rel is not None:
+                key = (rel.name, move.direction)
+                if key not in shifts:
+                    shifts[key] = relation_shift(system, rel, move.direction)
+                shift = shifts[key]
+            record.sigma = sigma + shift
+        elif None not in classes:
             # computable for the first time: one full signature
             try:
                 record.sigma = factorization_signature(system, w)
@@ -359,34 +375,12 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
                 if not computed:
                     raise
                 raise ScriptError(idx, str(move), "homological image changed") from None
-        else:
-            # rho(before) = I, so rho(w) = I iff the window keeps its
-            # product, which is I when the window is the whole word
-            whole = len(removed) == len(before.letters)
-            old = identity if whole else sp.twist_product(identity, removed)
-            if sp.twist_product(identity, inserted) != old:
-                raise ScriptError(idx, str(move), "homological image changed")
-            shift = 0  # elementary moves, conjugations and rotations
-            if isinstance(move, Subst):
-                key = (rel.name, move.direction)
-                if key not in shifts:
-                    shifts[key] = relation_shift(system, rel, move.direction)
-                shift = shifts[key]
-            record.sigma = sigma + shift
         sigma = record.sigma
         checked = computed and sigma is not None
         computed = computed or sigma is not None
         # elementary moves, conjugations and verified substitutions are
         # sound; an assumed relation's step counts only when it was checked
-        record.rho_checked = True
-        if isinstance(move, Subst):
-            if rel.kind == "lantern":
-                record.lantern_forward = move.direction == "fwd"
-                record.lantern_reverse = move.direction == "rev"
-            if rel.status == "assumed":
-                record.assumed_relation = rel.name
-                if not checked:
-                    record.rho_checked = None
+        record.rho_checked = None if record.assumed_relation and not checked else True
         result.steps.append(record)
 
     result.final = w

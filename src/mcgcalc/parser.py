@@ -488,7 +488,9 @@ def load_system(path: str | Path) -> CurveSystem:
 
     Reads the file, parses it and checks its declared facts; raises
     ParseError on text that does not parse and InvalidSystem, carrying
-    the violations and the parsed system, on facts that contradict.
+    the violations and the parsed system, on facts that contradict.  A
+    relation whose two sides have different products is not such a
+    violation: parsing stops at it with InvalidRelation.
     """
     system = parse_system(read_source(path), str(path))
     violations = validate_system(system)

@@ -147,11 +147,11 @@ def rho_letter(system, letter: Letter, sign: int = 1) -> Mat:
     return transvection(letter_class(system, letter), sign)
 
 
-def rho_image(system, w: Word) -> Mat:
-    """Multiplicative image of a word: one rank-1 update per letter."""
+def rho_image(system, pairs: Iterable[tuple[Letter, int]]) -> Mat:
+    """Product of the (letter, sign) pairs, e.g. a Word: one rank-1 update per letter."""
     return twist_product(
         mat_identity(2 * system.genus),
-        ((letter_class(system, letter), sign) for letter, sign in w.letters),
+        ((letter_class(system, letter), sign) for letter, sign in pairs),
     )
 
 
@@ -285,12 +285,13 @@ def h1_total_space(system, w: Word) -> AbelianGroup:
     """H1 of the Lefschetz fibration total space for a positive relator.
 
     Computed as Z^2g modulo the classes of the vanishing cycles, i.e.
-    the letters of the word.  Repeated classes, also up to sign, span
-    nothing new, so each distinct one is a single column.
+    the letters of the word.  Each distinct letter is read once, and
+    repeated classes, also up to sign, span nothing new, so each
+    distinct one is a single column.
     """
     g = system.genus
     cols: dict[Vec, None] = {}
-    for letter, _ in w.letters:
+    for letter in dict.fromkeys(letter for letter, _ in w.letters):
         u = letter_class(system, letter)
         cols[max(u, tuple(-x for x in u))] = None
     matrix = [[col[i] for col in cols] for i in range(2 * g)]

@@ -277,15 +277,10 @@ def validate_relation_decl(system: CurveSystem, decl: RelationDecl) -> bool:
         a, b = (sp.letter_class(system, l) for l in decl.left[:2])
         if abs(sp.pairing(a, b)) != shape.meet:
             return False
-
-    def side_product(side):
-        return sp.twist_product(
-            sp.mat_identity(2 * system.genus), [(sp.letter_class(system, l), 1) for l in side]
-        )
-
     # chain2 compares (T_a T_b)^6, which is I when |<a, b>| = 1, with T_c,
     # so it holds exactly when c is null-homologous
-    return side_product(decl.left) == side_product(decl.right)
+    left, right = ([(l, 1) for l in side] for side in (decl.left, decl.right))
+    return sp.rho_image(system, left) == sp.rho_image(system, right)
 
 
 def validate_system(system: CurveSystem) -> list[str]:

@@ -29,6 +29,19 @@ def test_check_invalid_system(capsys, tmp_path):
     assert "violation" in out
 
 
+def test_check_failing_relation_stops_loading(capsys, tmp_path):
+    # not a listed violation: loading stops at the relation, as it does
+    # for every other command
+    bad = tmp_path / "bad.mcg"
+    bad.write_text(
+        "genus 2\ncurve c1 = a1\ncurve c2 = b1\ncurve c3 = a2\n"
+        "lantern L : c1 c1 c2 c2 => c3 c3 c3\n"
+    )
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: relation L fails its homological identity\n"
+
+
 def test_invariants_rho(capsys):
     code, out, _ = run(capsys, "invariants", G2, "rho")
     assert code == 0

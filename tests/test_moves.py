@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from mcgcalc import fixture_path, moves
 from mcgcalc.errors import ScriptError, SubstMismatch
 from mcgcalc.meyer import factorization_signature
 from mcgcalc.moves import (
+    Conj,
     DerivationScript,
     Elem,
     Rotate,
@@ -16,6 +18,7 @@ from mcgcalc.moves import (
     simultaneous_conjugation,
     substitute,
 )
+from mcgcalc.parser import parse_system
 from mcgcalc.reports import singular_fiber_census
 from mcgcalc.symplectic import h1_total_space, is_homological_relator, rho_image
 from mcgcalc.words import is_positive, render_word
@@ -360,4 +363,63 @@ def test_move_soundness_fuzz_random_substitutions(g2, ex53):
             if sites:
                 pos, direction = rng.choice(sites)
                 w = substitute(g2, w, rel, pos, direction)
+                assert is_positive(w)
                 assert is_homological_relator(g2, w)
+
+
+# Positivity has one gate: each move refuses a word with an inverse
+# letter, and every move maps a positive word to a positive one, so
+# replay does not scan the word again after a step.
+
+NON_POSITIVE = ["c3", "c5", "c5", "c3", ("c1", -1)]
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        lambda s, w: elementary_transformation(w, 1, "R"),
+        lambda s, w: simultaneous_conjugation(w, s.word(["c1"])),
+        lambda s, w: rotate(w, 1),
+        lambda s, w: substitute(s, w, s.relations["LA"], 1, "fwd"),
+    ],
+    ids=["elem", "conj", "rot", "subst"],
+)
+def test_moves_refuse_a_word_with_an_inverse_letter(g2, move):
+    with pytest.raises(ValueError, match="positive"):
+        move(g2, g2.word(NON_POSITIVE))
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda s: Elem(1, "R"),
+        lambda s: Conj(s.word(["c1"])),
+        lambda s: Rotate(1),
+        lambda s: Subst("LA", 1, "fwd"),
+    ],
+    ids=["elem", "conj", "rot", "subst"],
+)
+def test_replay_refuses_a_source_with_an_inverse_letter_at_step_1(step):
+    # a homological relator, so the source's signature is computed first
+    system = parse_system(fixture_path("genus2_chain.mcg").read_text())
+    rho = system.words["rho"].letters
+    system.add_word("neg", system.word([("c1", -1), *rho, "c1"]))
+    script = DerivationScript("s", "neg", (step(system),))
+    with pytest.raises(ScriptError, match="positive") as info:
+        replay_script(system, script)
+    assert info.value.step == 1
+
+
+def test_replay_checks_positivity_once_per_step(g2, g3, ex53, ex52, monkeypatch):
+    calls = []
+    original = moves.is_positive
+
+    def counting(w):
+        calls.append(len(w))
+        return original(w)
+
+    monkeypatch.setattr(moves, "is_positive", counting)
+    for system, script in [(g2, ex53)] + [(g3, s) for s in ex52.values()]:
+        calls.clear()
+        replay_script(system, script)
+        assert len(calls) == len(script.steps), script.name
