@@ -240,8 +240,8 @@ def _transvection_tau(a: Mat, v: Sequence[int], s: int) -> int:
     return -1 if (num > 0) == (d > 0) else 1
 
 
-def local_signature(system, pairs) -> tuple[int, Mat]:
-    """sigma_loc of the (letter, sign) pairs v1..vn, and rho(v1...vn).
+def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple[int, Mat]:
+    """sigma_loc of the letters v1..vn, and rho(v1...vn), from their steps.
 
     sigma_loc = sum_{k=2..n} tau(rho(v1...v_{k-1}), rho(v_k)) minus the
     number of null-homologous letters: the signature sum of the letters
@@ -249,32 +249,28 @@ def local_signature(system, pairs) -> tuple[int, Mat]:
     signature; for the two sides of a relation its difference is the
     signature shift of a substitution (see the moves module).
 
-    rho(v_k) = T_u^s with u the letter's class, so a step is (u, s), or
-    None for a null-homologous letter (-1, prefix unchanged), and a
-    nonzero step costs one ``_transvection_tau`` and one rank-1 update
-    of the prefix.  A run of identical relator blocks costs one block:
-    each time the prefix is back at I, the steps read since the last
-    I point are a block, and while the next steps repeat it, its value
-    is added and the walk jumps past it.  This is exact, because each
-    tau depends only on the prefix and the step, so the same steps read
-    from I give the same taus and end at I again.  Each I point compares
-    at most the block just read, so the checks cost O(n) in all.
-    Raises UnknownClass at the first opaque letter.
+    rho(v_k) = T_u^s, so the steps are the letters' (u, s), the class
+    table of a word with no opaque letter.  A null-homologous step counts
+    -1 and keeps the prefix, and a nonzero step costs one
+    ``_transvection_tau`` and one rank-1 update of the prefix.  A run of
+    identical relator blocks costs one block: each time the prefix is
+    back at I, the steps read since the last I point are a block, and
+    while the next steps repeat it, its value is added and the walk
+    jumps past it.  This is exact, because each tau depends only on the
+    prefix and the step, so the same steps read from I give the same
+    taus and end at I again.  Each I point compares at most the block
+    just read, so the checks cost O(n) in all.
     """
-    steps = []
-    for letter, sign in pairs:
-        u = sp.letter_class(system, letter)
-        steps.append((u, sign) if any(u) else None)
     identity = prefix = sp.mat_identity(2 * system.genus)
     total = mark_total = mark = i = 0
     while i < len(steps):
         step = steps[i]
         i += 1
-        if step is None:
-            total -= 1
-        else:
+        if any(step[0]):
             total += _transvection_tau(prefix, *step)
             prefix = sp.twist_product(prefix, (step,))
+        else:
+            total -= 1
         if prefix == identity:
             block, value = steps[mark:i], total - mark_total
             while steps[i:i + len(block)] == block:
@@ -295,11 +291,13 @@ def factorization_signature(system, w: Word) -> int:
     above.  Raises UnknownClass at the first opaque letter, then
     NotARelator when the homological image is not the identity (the
     fibration would not close up over S^2).
-
-    This is ``local_signature`` of the whole word plus the check that
-    its product is the identity.
     """
-    sigma, product = local_signature(system, w.letters)
+    return _relator_signature(system, sp._known_classes(system, w.letters))
+
+
+def _relator_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> int:
+    """``local_signature`` of a relator's steps, checking that their product is I."""
+    sigma, product = local_signature(system, steps)
     if product != sp.mat_identity(2 * system.genus):
         raise NotARelator("word is not a homological relator")
     return sigma

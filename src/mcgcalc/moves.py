@@ -54,7 +54,7 @@ from .errors import (
     ScriptError,
     SubstMismatch,
 )
-from .meyer import factorization_signature, local_signature
+from .meyer import _relator_signature, local_signature
 from .system import CurveSystem, RelationDecl
 from .words import (
     Word,
@@ -241,8 +241,8 @@ def relation_shift(system: CurveSystem, rel: RelationDecl, direction: str) -> in
     """
     src, dst = _side(rel, direction)
     return (
-        local_signature(system, [(l, 1) for l in dst])[0]
-        - local_signature(system, [(l, 1) for l in src])[0]
+        local_signature(system, sp._known_classes(system, [(l, 1) for l in dst]))[0]
+        - local_signature(system, sp._known_classes(system, [(l, 1) for l in src]))[0]
     )
 
 
@@ -287,15 +287,6 @@ class ReplayResult:
         return sum(1 for s in self.steps if s.lantern_reverse)
 
 
-def _classes(system: CurveSystem, pairs) -> list:
-    """(u, s) with rho(letter^s) = T_u^s for each pair, or None when opaque."""
-    out = []
-    for letter, sign in pairs:
-        u = system.homology_class_of_letter(letter)
-        out.append(None if u is None else (u, sign))
-    return out
-
-
 def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult:
     """Apply a script's moves in order with per-step verification.
 
@@ -313,8 +304,8 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
     w = system.words[script.source]
     result = ReplayResult(script, w, w)
     identity = sp.mat_identity(2 * system.genus)
-    classes = _classes(system, w.letters)  # one entry per position of w
-    sigma = None if None in classes else factorization_signature(system, w)
+    classes = sp._class_table(system, w.letters)  # one entry per position of w
+    sigma = None if None in classes else _relator_signature(system, classes)
     result.sigma_initial = sigma
     computed = sigma is not None  # an earlier word had rho = I
     shifts: dict[tuple[str, str], int] = {}
@@ -352,7 +343,7 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
             raise ScriptError(idx, str(move), str(exc)) from exc
         record.length, record.word = len(w.letters), w
         removed = classes[start:stop]
-        inserted = _classes(system, w.letters[start : stop + len(w.letters) - n])
+        inserted = sp._class_table(system, w.letters[start : stop + len(w.letters) - n])
         classes[start:stop] = inserted
         if sigma is not None and None not in inserted:
             # rho(before) = I, so rho(w) = I iff the window keeps its
@@ -370,7 +361,7 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
         elif None not in classes:
             # computable for the first time: one full signature
             try:
-                record.sigma = factorization_signature(system, w)
+                record.sigma = _relator_signature(system, classes)
             except NotARelator:
                 if not computed:
                     raise

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import meyer, symplectic as sp
-from .errors import NotARelator, SystemMismatch, UnknownClass
+from .errors import NotARelator, SystemMismatch
 from .moves import ReplayResult
 from .system import CurveSystem
 from .words import Word, is_positive, push_forward_word
@@ -92,15 +92,19 @@ def euler_characteristic(system: CurveSystem, w: Word) -> int:
 
 
 def singular_fiber_census(system: CurveSystem, w: Word) -> Census:
+    return _census(system, w.letters, sp._class_table(system, w.letters))
+
+
+def _census(system: CurveSystem, pairs, table) -> Census:
+    """The census of the (letter, sign) pairs from their class table."""
     n0 = 0
     sep: dict[int, int] = {}
     sep_unknown = 0
     class_unknown = 0
-    for letter, _ in w.letters:
-        cls = system.homology_class_of_letter(letter)
-        if cls is None:
+    for (letter, _), entry in zip(pairs, table):
+        if entry is None:
             class_unknown += 1
-        elif any(cls):
+        elif any(entry[0]):
             n0 += 1
         else:
             # a null-homologous letter is separating; at genus 2 its type
@@ -122,12 +126,11 @@ def fiber_sum(system: CurveSystem, left: Word, right: Word, conjugator: Word) ->
     """
     if left.system is not system or right.system is not system:
         raise SystemMismatch("fiber summands must live in the given system")
+    identity = sp.mat_identity(2 * system.genus)
     for w, name in ((left, "left"), (right, "right")):
-        try:
-            if not sp.is_homological_relator(system, w):
-                raise NotARelator(f"{name} fiber summand is not a homological relator")
-        except UnknownClass:
-            pass
+        table = sp._class_table(system, w.letters)
+        if None not in table and sp.twist_product(identity, table) != identity:
+            raise NotARelator(f"{name} fiber summand is not a homological relator")
     return left * push_forward_word(conjugator, right)
 
 
@@ -144,13 +147,16 @@ def full_report(system: CurveSystem, w: Word) -> InvariantReport:
     """Assemble every computable invariant of the fibration of ``w``.
 
     Requires a homological relator; raises NotARelator otherwise and
-    UnknownClass when opaque curves block the computation.
+    UnknownClass when opaque curves block the computation.  The word's
+    classes are read once, into one class table that sigma, the census
+    and H1 share.
     """
     g = system.genus
-    sigma = meyer.factorization_signature(system, w)
-    census = singular_fiber_census(system, w)
+    table = sp._known_classes(system, w.letters)
+    sigma = meyer._relator_signature(system, table)
+    census = _census(system, w.letters, table)
     e = euler_characteristic(system, w)
-    h1 = sp.h1_total_space(system, w)
+    h1 = sp._h1_of_classes(g, table)
     b2plus = b2minus = b1 = None
     annotations = [
         "simple connectivity is not verified: H1 = 0 is only the necessary condition",
@@ -227,23 +233,19 @@ def substitution_delta_report(system: CurveSystem, replay: ReplayResult) -> Delt
         f"delta e = {delta_e} (expected {-k}), delta sigma = "
         f"{'n/a' if delta_sigma is None else f'{delta_sigma:+d}'} (expected {k:+d})",
     ]
-    checks = []
-    try:
-        h1 = sp.h1_total_space(system, replay.final)
-        checks.append(
-            f"H1 of result trivial: {'yes' if h1.is_trivial() else f'no ({h1})'} (verified)"
-        )
-    except UnknownClass:
-        checks.append("H1 of result: not machine-checkable (opaque curves)")
-    census = singular_fiber_census(system, replay.final)
+    table = sp._class_table(system, replay.final.letters)
+    census = _census(system, replay.final.letters, table)
     if census.class_unknown:
-        checks.append(
-            f"separating factor present: {'yes (verified)' if census.n_separating else 'undetermined (opaque curves)'}"
-        )
+        checks = [
+            "H1 of result: not machine-checkable (opaque curves)",
+            f"separating factor present: {'yes (verified)' if census.n_separating else 'undetermined (opaque curves)'}",
+        ]
     else:
-        checks.append(
-            f"separating factor present: {'yes' if census.n_separating else 'no'} (verified)"
-        )
+        h1 = sp._h1_of_classes(system.genus, table)
+        checks = [
+            f"H1 of result trivial: {'yes' if h1.is_trivial() else f'no ({h1})'} (verified)",
+            f"separating factor present: {'yes' if census.n_separating else 'no'} (verified)",
+        ]
     if replay.sigma_final is not None:
         checks.append(
             f"sigma mod 16 = {replay.sigma_final % 16} "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, UnknownClass
 from .words import Letter, Word
@@ -125,21 +125,37 @@ def transvection(a: Sequence[int], sign: int = 1) -> Mat:
 
 def letter_class(system, letter: Letter) -> Vec:
     """u with rho(letter^s) = T_u^s for either sign s: the class of the
-    twisted curve.
+    twisted curve, from the one-letter class table (``_known_classes``)."""
+    return _known_classes(system, ((letter, 1),))[0][0]
 
-    The raising view of ``CurveSystem.homology_class_of_letter`` for the
-    Sp(2g, Z) consumers.  An opaque letter raises UnknownClass naming its
-    first undeclared curve in conjugator-then-base order.  That is also
-    the first undeclared twist of ``letter.flatten(s)``: free reduction
-    of the (freely reduced) conjugator around the base twist cancels
-    only base-named twists, and one base twist survives.
+
+def _class_table(system, pairs: Iterable[tuple[Letter, int]]) -> list[Optional[tuple[Vec, int]]]:
+    """(u, s) with rho(letter^s) = T_u^s per (letter, s) pair, or None when opaque.
+
+    The one walk from a word to its classes, through the memo of
+    ``CurveSystem.homology_class_of_letter``: a command builds its word's
+    table once, for the signature, the relator checks, the census and H1.
     """
-    u = system.homology_class_of_letter(letter)
-    if u is None:
+    class_of_letter = system.homology_class_of_letter
+    return [None if (u := class_of_letter(letter)) is None else (u, sign) for letter, sign in pairs]
+
+
+def _known_classes(system, pairs: Iterable[tuple[Letter, int]]) -> list[tuple[Vec, int]]:
+    """The class table of pairs with no opaque letter.
+
+    Otherwise UnknownClass names the first undeclared curve of the first
+    opaque letter in conjugator-then-base order, which is also the first
+    undeclared twist of ``letter.flatten(s)``: free reduction of the
+    conjugator around the base twist cancels only base-named twists.
+    """
+    pairs = tuple(pairs)
+    table = _class_table(system, pairs)
+    if None in table:
+        letter = pairs[table.index(None)][0]
         names = [name for name, _ in letter.conj] + [letter.base]
         opaque = next(name for name in names if system.class_of(name) is None)
         raise UnknownClass(f"curve {opaque!r} has no declared homology class")
-    return u
+    return table
 
 
 def rho_letter(system, letter: Letter, sign: int = 1) -> Mat:
@@ -149,10 +165,7 @@ def rho_letter(system, letter: Letter, sign: int = 1) -> Mat:
 
 def rho_image(system, pairs: Iterable[tuple[Letter, int]]) -> Mat:
     """Product of the (letter, sign) pairs, e.g. a Word: one rank-1 update per letter."""
-    return twist_product(
-        mat_identity(2 * system.genus),
-        ((letter_class(system, letter), sign) for letter, sign in pairs),
-    )
+    return twist_product(mat_identity(2 * system.genus), _known_classes(system, pairs))
 
 
 def is_homological_relator(system, w: Word) -> bool:
@@ -282,18 +295,14 @@ def cokernel(a: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroup:
 
 
 def h1_total_space(system, w: Word) -> AbelianGroup:
-    """H1 of the Lefschetz fibration total space for a positive relator.
+    """H1 of the Lefschetz fibration total space for a positive relator."""
+    return _h1_of_classes(system.genus, _known_classes(system, w.letters))
 
-    Computed as Z^2g modulo the classes of the vanishing cycles, i.e.
-    the letters of the word.  Each distinct letter is read once, and
-    repeated classes, also up to sign, span nothing new, so each
-    distinct one is a single column.
-    """
-    g = system.genus
-    cols: dict[Vec, None] = {}
-    for letter in dict.fromkeys(letter for letter, _ in w.letters):
-        u = letter_class(system, letter)
-        cols[max(u, tuple(-x for x in u))] = None
+
+def _h1_of_classes(g: int, table: Sequence[tuple[Vec, int]]) -> AbelianGroup:
+    """Z^2g modulo the vanishing cycles' classes, from their class table:
+    repeated classes, also up to sign, span nothing new, so each distinct
+    class is a single column."""
+    cols = dict.fromkeys(max(u, tuple(-x for x in u)) for u in dict.fromkeys(u for u, _ in table))
     matrix = [[col[i] for col in cols] for i in range(2 * g)]
     return cokernel(matrix, 2 * g)
-

@@ -204,10 +204,10 @@ class CurveSystem:
     def homology_class_of_letter(self, letter: Letter) -> Optional[Vec]:
         """Class of the twisted curve; None when opaque curves block it.
 
-        The one walk from a letter's conjugator to its class: the
-        signature, H1, rho, relation validation, replay and the census
-        all read a letter's class from here, and each distinct letter
-        walks once per system.
+        The one walk from a letter's conjugator to its class, memoized
+        per system, so each distinct letter walks once.  A word's classes
+        are read from here once per position, into the one class table
+        (``symplectic._class_table``) that every invariant reads.
         """
         try:
             return self._classes[letter]

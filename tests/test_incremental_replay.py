@@ -267,15 +267,16 @@ def test_generated_derivations_are_long_and_mixed(generated):
 
 @pytest.fixture
 def full_signatures(monkeypatch):
-    """The lengths of the words replay_script takes a full signature of."""
+    """The lengths of the words replay_script takes a full signature of,
+    which it reads from the class table it keeps for the word."""
     calls = []
-    original = moves.factorization_signature
+    original = moves._relator_signature
 
-    def counting(system, w):
-        calls.append(len(w))
-        return original(system, w)
+    def counting(system, table):
+        calls.append(len(table))
+        return original(system, table)
 
-    monkeypatch.setattr(moves, "factorization_signature", counting)
+    monkeypatch.setattr(moves, "_relator_signature", counting)
     return calls
 
 

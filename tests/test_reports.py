@@ -66,6 +66,13 @@ def test_fiber_sum_rejects_non_relator(g2):
         fiber_sum(g2, g2.words["rho"], g2.word(["c1"]), g2.empty_word())
 
 
+def test_fiber_sum_checks_the_right_summand_after_an_opaque_left(g3):
+    # the opaque left summand is accepted on assumption; the right one is
+    # computable and still checked
+    with pytest.raises(NotARelator, match="right"):
+        fiber_sum(g3, g3.words["xthree"], g3.word(["c1"]), g3.empty_word())
+
+
 def test_betti_summary():
     assert betti_summary(36, -24) == (5, 29)
     assert betti_summary(56, -36) == (9, 45)
