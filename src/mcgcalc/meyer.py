@@ -15,16 +15,16 @@ q(z, z') = -s psi(z) phi(z'), the symmetrized form is
 -s(psi(z) phi(z') + phi(z) psi(z')), and V is cut out by
 (A^-1 - I)x = -s<y,v>v.
 
-* If v = 0, or A v is not in im(A - I) (equivalently v is not in
-  im(A^-1 - I), since A^-1 - I = -A^-1 (A - I)), then <y,v> = 0 on V,
-  so phi = 0 there and tau = 0.
-* Otherwise pick any rational x0 with (A - I)x0 = A v.  Then V is the
-  set of (s t x0 + k, y) with t = <y,v> and k in ker(A - I), and
-  <k, v> = 0: im(A - I) = ker(A - I)^perp holds A v, hence v, because
-  A preserves the form and fixes ker(A - I).  So on V
-  psi = (1 + s<x0,v>) phi with phi != 0, and the form is
-  -2s(1 + s<x0,v>) phi^2: tau(A, T_v^s) = -sign(s + <x0, v>), which
-  does not depend on the choice of x0.
+* If v = 0, or v is not in im(A - I) (equivalently v is not in
+  im(A^-1 - I) = A^-1 im(A - I), as A v = v + (A - I)v), then
+  <y,v> = 0 on V, so phi = 0 there and tau = 0.
+* Otherwise pick any rational y0 with (A - I)y0 = v, so x0 = y0 + v
+  solves (A - I)x0 = A v.  V is the set of (s t x0 + k, y) with
+  t = <y,v> and k in ker(A - I), and <k, v> = 0: im(A - I) =
+  ker(A - I)^perp holds v, as A preserves the form and fixes
+  ker(A - I).  So on V psi = (1 + s<x0,v>) phi with phi != 0, and the
+  form is -2s(1 + s<x0,v>) phi^2: tau(A, T_v^s) = -sign(s + <y0, v>),
+  since <x0, v> = <y0, v> + <v, v>, whatever y0 is chosen.
 
 So tau(A, T_v^s) is one of -1, 0, 1 and costs one exact linear solve
 (fraction-free elimination, ``_transvection_tau``) instead of a kernel
@@ -186,15 +186,16 @@ def meyer_tau(a: Mat, b: Mat) -> int:
     return signature_of_symmetric(sym)
 
 
-def _transvection_tau(a: Mat, v: Sequence[int], s: int) -> int:
+def _transvection_tau(a: Sequence[Sequence[int]], v: Sequence[int], s: int) -> int:
     """tau(A, T_v^s) for symplectic A and s = +-1, as derived above.
 
-    Solves (A - I)x = A v by fraction-free (Bareiss) elimination, with
-    the functional w = <., v> as an extra row that is eliminated but
-    never chosen as pivot.  The system is solvable iff the rows left
-    without a pivot are zero on the right.  Then w lies in the row
-    space (it vanishes on ker(A - I)), so its row ends as (0 | t) with
-    t = -D <x, v> for D the last pivot, and s + <x, v> = (s D - t) / D.
+    Solves (A - I)y = v by fraction-free (Bareiss) elimination, with
+    the functional w = <., v> as row n, after the pivot candidates: it
+    is eliminated but never a pivot.  Pivot rows are swapped up to the
+    front.  The system is solvable iff the rows left without a pivot
+    are zero on the right.  Then w lies in the row space (it vanishes
+    on ker(A - I)), so its row ends as (0 | t) with t = -D <y, v> for D
+    the last pivot, and s + <y, v> = (s D - t) / D.
 
     Bareiss keeps every entry an integer minor, but it rescales each
     row by p / d at every pivot p.  A row whose entry in the pivot
@@ -206,34 +207,31 @@ def _transvection_tau(a: Mat, v: Sequence[int], s: int) -> int:
     if not any(v):
         return 0
     n = len(a)
-    support = [(j, x) for j, x in enumerate(v) if x]
-    rows = []
-    for i, arow in enumerate(a):
-        row = list(arow)
-        row[i] -= 1
-        row.append(sum(arow[j] * x for j, x in support))  # (A v)_i
-        rows.append([row, 1])
-    # <e_j, v> is v[j+1] for even j and -v[j-1] for odd j
+    # rows of (A - I | v), then w: <e_j, v> is v[j+1] for even j, -v[j-1] for odd j
+    rows = [[[*arow[:i], arow[i] - 1, *arow[i + 1:], v[i]], 1] for i, arow in enumerate(a)]
     rows.append([[v[j + 1] if j % 2 == 0 else -v[j - 1] for j in range(n)] + [0], 1])
-    d = 1
+    d, r = 1, 0  # rows[:r] are the pivot rows so far
     for c in range(n):
-        # rows[-1] is w and never a pivot
-        k = next((i for i in range(len(rows) - 1) if rows[i][0][c]), None)
-        if k is None:
+        for k in range(r, n):
+            if rows[k][0][c]:
+                break
+        else:
             continue
-        prow, ref = rows.pop(k)
+        rows[r], rows[k] = rows[k], rows[r]
+        prow, ref = rows[r]
+        r += 1
         p = prow[c] * d // ref
         tail = [x * d // ref for x in prow[c + 1:]] if ref != d else prow[c + 1:]
-        for entry in rows:
+        for entry in rows[r:]:
             row, ref = entry
             f = row[c]
             if f:
                 row[c + 1:] = [(p * x - f * y) // ref for x, y in zip(row[c + 1:], tail)]
                 entry[1] = p
         d = p
-    if any(row[n] for row, _ in rows[:-1]):
+    if any(row[n] for row, _ in rows[r:n]):
         return 0
-    row, ref = rows[-1]
+    row, ref = rows[n]
     num = s * d - row[n] * d // ref
     if num == 0:
         return 0
@@ -252,7 +250,8 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
     rho(v_k) = T_u^s, so the steps are the letters' (u, s), the class
     table of a word with no opaque letter.  A null-homologous step counts
     -1 and keeps the prefix, and a nonzero step costs one
-    ``_transvection_tau`` and one rank-1 update of the prefix.  A run of
+    ``_transvection_tau`` and one rank-1 update of the prefix, made in
+    place on its rows by ``symplectic._twist_rows``.  A run of
     identical relator blocks costs one block: each time the prefix is
     back at I, the steps read since the last I point are a block, and
     while the next steps repeat it, its value is added and the walk
@@ -261,14 +260,15 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
     taus and end at I again.  Each I point compares at most the block
     just read, so the checks cost O(n) in all.
     """
-    identity = prefix = sp.mat_identity(2 * system.genus)
+    identity = [list(row) for row in sp.mat_identity(2 * system.genus)]
+    prefix = [list(row) for row in identity]
     total = mark_total = mark = i = 0
     while i < len(steps):
         step = steps[i]
         i += 1
         if any(step[0]):
             total += _transvection_tau(prefix, *step)
-            prefix = sp.twist_product(prefix, (step,))
+            sp._twist_rows(prefix, (step,))
         else:
             total -= 1
         if prefix == identity:
@@ -277,7 +277,7 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
                 i += len(block)
                 total += value
             mark, mark_total = i, total
-    return total, prefix
+    return total, tuple(tuple(row) for row in prefix)
 
 
 def factorization_signature(system, w: Word) -> int:

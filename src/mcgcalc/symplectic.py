@@ -6,11 +6,11 @@ tuples.  A right-handed Dehn twist along a curve of class v acts on
 homology as the transvection x -> x + <x,v> v; this sign convention is
 pinned by the signature calibration in the meyer module.
 
-Every product with transvections goes through ``twist_product``, which
-applies each factor as a rank-1 update and never builds T_v.  Products
-of transvections are symplectic by construction, so nothing here checks
-it; ``meyer.meyer_tau`` checks its caller's matrices, and the tests
-check the products.
+Every product with transvections goes through ``_twist_rows``, which
+applies each factor as a rank-1 update in place and never builds T_v.
+Products of transvections are symplectic by construction, so nothing
+here checks it; ``meyer.meyer_tau`` checks its caller's matrices, and
+the tests check the products.
 """
 
 from __future__ import annotations
@@ -60,16 +60,12 @@ def mat_vec(a: Mat, v: Sequence[int]) -> Vec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def mat_transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
 def is_symplectic(m: Mat) -> bool:
     n = len(m)
     if n % 2 or any(len(row) != n for row in m):
         return False
     j = standard_j(n // 2)
-    return mat_mul(mat_mul(mat_transpose(m), j), m) == j
+    return mat_mul(mat_mul(tuple(zip(*m)), j), m) == j
 
 
 def symplectic_inverse(m: Mat) -> Mat:
@@ -92,14 +88,17 @@ def transvect(v: Sequence[int], a: Sequence[int], sign: int = 1) -> Vec:
 
 
 def twist_product(m: Mat, twists: Iterable[tuple[Sequence[int], int]]) -> Mat:
-    """M T_{v1}^{s1} ... T_{vk}^{sk} for the factors (v, s) in order.
-
-    Each factor is the rank-1 update M T_v^s = M + s (Mv) <., v>: column
-    j of M gains s <e_j, v> Mv.  No T_v is built, so a factor costs
-    O(n^2) instead of a dense O(n^3) product.
-    """
-    n = len(m)
+    """M T_{v1}^{s1} ... T_{vk}^{sk} for the factors (v, s) in order."""
     rows = [list(row) for row in m]
+    _twist_rows(rows, twists)
+    return tuple(tuple(row) for row in rows)
+
+
+def _twist_rows(rows: list[list[int]], twists: Iterable[tuple[Sequence[int], int]]) -> None:
+    """``twist_product`` in place on the row lists of M.  Each factor is the
+    rank-1 update M T_v^s = M + s (Mv) <., v>: column j of M gains
+    s <e_j, v> Mv, so no T_v is built and a factor costs O(n^2)."""
+    n = len(rows)
     for v, s in twists:
         if len(v) != n:
             raise DimensionError(f"vector of length {len(v)} against a {n}x{n} matrix")
@@ -112,7 +111,6 @@ def twist_product(m: Mat, twists: Iterable[tuple[Sequence[int], int]]) -> Mat:
             if c:
                 for j, f in support:
                     row[j] += c * f
-    return tuple(tuple(row) for row in rows)
 
 
 def transvection(a: Sequence[int], sign: int = 1) -> Mat:

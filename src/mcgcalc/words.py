@@ -24,7 +24,7 @@ different curve).  All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Iterator, Tuple, TypeVar
 
@@ -38,7 +38,8 @@ def _free_reduce_pairs(pairs: Iterable[tuple[T, int]]) -> list[tuple[T, int]]:
     """Cancel adjacent (x, s) (x, -s): twists of a conjugator, or letters of a word."""
     out: list[tuple[T, int]] = []
     for name, sign in pairs:
-        if out and out[-1][0] == name and out[-1][1] == -sign:
+        # the sign first: a positive word never cancels, so its letters are not compared
+        if out and out[-1][1] == -sign and out[-1][0] == name:
             out.pop()
         else:
             out.append((name, sign))
@@ -139,6 +140,15 @@ class Letter:
 
     conj: tuple[Pair, ...]
     base: str
+    # hash((conj, base)), what the generated __hash__ gives, taken once:
+    # class tables look a letter up on every read
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.conj, self.base)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_plain(self) -> bool:
         return not self.conj

@@ -5,12 +5,22 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcgcalc.errors import NotARelator, UnknownClass
 from mcgcalc.meyer import _transvection_tau, factorization_signature, meyer_tau
 from mcgcalc.parser import parse_system
-from mcgcalc.symplectic import mat_identity, transvection, twist_product
+from mcgcalc.symplectic import (
+    mat_identity,
+    mat_mul,
+    mat_vec,
+    symplectic_inverse,
+    transvection,
+    twist_product,
+)
 from tests.flat_oracle import twist_classes
+from tests.local_signature_oracle import transvection_tau as oracle_tau
 from tests.test_symplectic import rank_over_q
 from tests.test_twist_product import hurwitz_walk, prefix_products, random_twists, relator_cases
 
@@ -52,6 +62,49 @@ def test_transvection_tau_matches_general_cocycle(g):
             assert tau == 0
     assert set(values) == {-1, 0, 1}
     assert unsolvable > 0
+
+
+@st.composite
+def tau_cases(draw):
+    """(A, v, phi): a prefix A, a class v and phi = rho((c1 c2^-1)^k).
+
+    A is I or a product of 1, 2, 4 or 6 twists, so A - I has rank 0 or
+    at most 1, 2, 4 or 6.  v is 0, drawn, or a column of A - I, which
+    puts v in im(A - I) and makes the solve succeed.
+    """
+    n = 2 * draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    count = draw(st.sampled_from([0, 1, 2, 4, 6]))
+    a = twist_product(mat_identity(n), draw(st.lists(
+        st.tuples(vec, st.sampled_from([1, -1])), min_size=count, max_size=count)))
+    kind = draw(st.sampled_from(["zero", "drawn", "column"]))
+    if kind == "zero":
+        v = (0,) * n
+    elif kind == "drawn":
+        v = draw(vec)
+    else:
+        j = draw(st.integers(0, n - 1))
+        v = tuple(a[i][j] - (1 if i == j else 0) for i in range(n))
+    # c1 and c2 of the chain have classes a1 and b1; (T_a1 T_b1^-1)^k has
+    # spectral radius (3 + 5^0.5) / 2, so the conjugated entries grow fast
+    a1, b1 = ((1,) + (0,) * (n - 1)), ((0, 1) + (0,) * (n - 2))
+    phi = twist_product(mat_identity(n), [(a1, 1), (b1, -1)] * draw(st.integers(0, 6)))
+    return a, v, phi
+
+
+@given(case=tau_cases(), s=st.sampled_from([1, -1]))
+@settings(max_examples=300, deadline=None)
+def test_transvection_tau_matches_its_oracles(case, s):
+    a, v, phi = case
+    conj = mat_mul(mat_mul(phi, a), symplectic_inverse(phi))
+    taus = []
+    for m, u in ((a, v), (conj, mat_vec(phi, v)), (conj, v)):
+        rows = [list(row) for row in m]  # the signature walk passes its prefix as rows
+        taus.append(_transvection_tau(rows, u, s))
+        assert rows == [list(row) for row in m]
+        assert taus[-1] == oracle_tau(m, u, s) == meyer_tau(m, transvection(u, s))
+    # conjugation by phi moves T_v^s to T_{phi v}^s and keeps tau
+    assert taus[0] == taus[1]
 
 
 def test_letter_acts_as_transvection_of_its_class(g2, g3, rel_g2):

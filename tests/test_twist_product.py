@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from mcgcalc.meyer import factorization_signature, meyer_tau
+from mcgcalc import symplectic as sp
+from mcgcalc.meyer import factorization_signature, local_signature, meyer_tau
 from mcgcalc.moves import elementary_transformation
 from mcgcalc.symplectic import (
     is_symplectic,
@@ -101,3 +102,29 @@ def test_signature_prefixes_are_symplectic_and_match_guarded_tau(g2, g3, rel_g2)
         # a letter acts trivially on homology exactly when its curve separates
         separating = sum(1 for m in letters if m == mat_identity(2 * system.genus))
         assert factorization_signature(system, w) == guarded - separating
+
+
+def test_signature_walk_and_twist_product_share_one_rank1_routine(g2, g3, monkeypatch):
+    # the walk updates its prefix rows in place through the routine that
+    # twist_product wraps, so a second transvection loop would go unseen here
+    applied = []
+    real = sp._twist_rows
+
+    def spy(rows, twists):
+        twists = list(twists)
+        applied.extend(twists)
+        real(rows, twists)
+
+    monkeypatch.setattr(sp, "_twist_rows", spy)
+    for system, w in ((g2, g2.words["rho"]), (g3, g3.words["sigma3"])):
+        identity = mat_identity(2 * system.genus)
+        steps = sp._known_classes(system, w.letters)
+        partial = [twist_product(identity, steps[:k]) for k in range(1, len(steps))]
+        assert identity not in partial  # no block is skipped, so every step is read
+        del applied[:]
+        sigma, product = local_signature(system, steps)
+        assert applied == [step for step in steps if any(step[0])]
+        assert product == identity and sigma == factorization_signature(system, w)
+        del applied[:]
+        assert twist_product(identity, steps) == product
+        assert applied == steps

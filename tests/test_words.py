@@ -8,6 +8,7 @@ from mcgcalc.errors import SystemMismatch
 from mcgcalc.system import CurveSystem
 from mcgcalc.words import (
     _free_reduce_pairs,
+    Letter,
     Word,
     compose_words,
     invert_word,
@@ -390,3 +391,28 @@ def test_alternating_disjoint_twists_sort_in_one_pass(g2):
     got = normalize_conjugator(g2, pairs, "c2")
     assert got == normalize_one_rule_per_pass(g2, pairs, "c2")
     assert got == (tuple([("c3", 1)] * 300 + [("c1", 1)] * 300), "c2")
+
+
+@given(st.lists(st.tuples(st.sampled_from(names), st.sampled_from([1, -1, 2])), max_size=6),
+       st.sampled_from(names))
+@settings(max_examples=200, deadline=None)
+def test_equal_letters_hash_equal(conj, base):
+    # two systems, so no normalization or letter is shared between the copies
+    a, b = chain_system().letter(base, conj), chain_system().letter(base, conj)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.conj, a.base))
+    copy = Letter(a.conj, a.base)
+    assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
+    assert {a: 1}[copy] == 1
+
+
+def test_positive_word_compares_no_letters(sys2, monkeypatch):
+    # free reduction tests the sign first, and nothing cancels in a positive word
+    letters = [(sys2.letter(n), 1) for n in names * 4]
+    compared = []
+    equal = Letter.__eq__
+    monkeypatch.setattr(Letter, "__eq__", lambda x, y: compared.append(1) or equal(x, y))
+    assert len(Word(sys2, letters)) == len(letters)
+    assert not compared
+    assert len(Word(sys2, letters[:3] + [(letters[2][0], -1)])) == 2
+    assert compared
