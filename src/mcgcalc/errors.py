@@ -39,8 +39,8 @@ class InvalidRelation(McgError):
 
 class InvalidSearch(McgError, ValueError):
     """A search request out of range: a bound below 1, nothing known, or
-    a search box past its documented limit.  Also a ValueError, the type
-    these requests raised before they had their own."""
+    a lattice walk past its documented limit.  Also a ValueError, the
+    type these requests raised before they had their own."""
 
 
 class SubstMismatch(McgError):

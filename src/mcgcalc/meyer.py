@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 
 from . import symplectic as sp
 from .errors import NotARelator, NotSymplectic
-from .words import Word
+from .words import Word, _check_in_system
 
 Mat = sp.Mat
 
@@ -292,6 +292,7 @@ def factorization_signature(system, w: Word) -> int:
     NotARelator when the homological image is not the identity (the
     fibration would not close up over S^2).
     """
+    _check_in_system(system, w)
     return _relator_signature(system, sp._known_classes(system, w.letters))
 
 

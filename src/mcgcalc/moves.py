@@ -58,6 +58,7 @@ from .meyer import _relator_signature, local_signature
 from .system import CurveSystem, RelationDecl
 from .words import (
     Word,
+    _check_in_system,
     is_positive,
     push_forward_word,
     render_word,
@@ -198,6 +199,7 @@ def substitute(
     homological identity (or recorded it as assumed for opaque curves),
     so it is not checked again here.
     """
+    _check_in_system(system, w)
     _require_positive(w)
     if system.relations.get(rel.name) is not rel:
         raise InvalidRelation(f"relation {rel.name} is not a relation of this system")
@@ -220,6 +222,7 @@ def substitute(
 
 def find_sites(system: CurveSystem, w: Word, rel: RelationDecl) -> list[tuple[int, str]]:
     """All (position, direction) pairs where substitute would succeed."""
+    _check_in_system(system, w)
     sites = []
     letters = tuple(l for l, _ in w.letters)
     for direction in ("fwd", "rev"):

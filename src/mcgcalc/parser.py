@@ -100,8 +100,10 @@ class _Tokens:
         self.i += 1
         return tok
 
-    def col(self) -> int:
-        return self.items[self.i][1] if self.i < len(self.toks) else 0
+    def col(self) -> Optional[int]:
+        """The column of the next token; None at the end of the line,
+        which has no column."""
+        return self.items[self.i][1] if self.i < len(self.toks) else None
 
     def last_col(self) -> int:
         """The column of the token ``next`` returned last."""

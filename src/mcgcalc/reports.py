@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import meyer, symplectic as sp
-from .errors import NotARelator, SystemMismatch
+from .errors import NotARelator
 from .moves import ReplayResult
 from .system import CurveSystem
-from .words import Word, is_positive, push_forward_word
+from .words import Word, _check_in_system, is_positive, push_forward_word
 
 # Lefschetz fibrations over D^2 bounded by the two sides of each
 # relation kind, and their common boundary (static lookup data).
@@ -86,12 +86,14 @@ class InvariantReport:
 
 def euler_characteristic(system: CurveSystem, w: Word) -> int:
     """e = 4 - 4g + n for a genus-g fibration with n singular fibers."""
+    _check_in_system(system, w)
     if not is_positive(w):
         raise ValueError("euler characteristic needs a positive word")
     return 4 - 4 * system.genus + len(w.letters)
 
 
 def singular_fiber_census(system: CurveSystem, w: Word) -> Census:
+    _check_in_system(system, w)
     return _census(system, w.letters, sp._class_table(system, w.letters))
 
 
@@ -124,8 +126,8 @@ def fiber_sum(system: CurveSystem, left: Word, right: Word, conjugator: Word) ->
     not all computable are accepted on assumption (recorded in the
     system's assumption list by the caller if desired).
     """
-    if left.system is not system or right.system is not system:
-        raise SystemMismatch("fiber summands must live in the given system")
+    _check_in_system(system, left)
+    _check_in_system(system, right)
     identity = sp.mat_identity(2 * system.genus)
     for w, name in ((left, "left"), (right, "right")):
         table = sp._class_table(system, w.letters)
@@ -151,6 +153,7 @@ def full_report(system: CurveSystem, w: Word) -> InvariantReport:
     classes are read once, into one class table that sigma, the census
     and H1 share.
     """
+    _check_in_system(system, w)
     g = system.genus
     table = sp._known_classes(system, w.letters)
     sigma = meyer._relator_signature(system, table)

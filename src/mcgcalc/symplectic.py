@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, UnknownClass
-from .words import Letter, Word
+from .words import Letter, Word, _check_in_system
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -172,6 +172,7 @@ def is_homological_relator(system, w: Word) -> bool:
     This is a necessary condition for w to be a relator of the mapping
     class group, not a sufficient one.
     """
+    _check_in_system(system, w)
     return rho_image(system, w) == mat_identity(2 * system.genus)
 
 
@@ -294,6 +295,7 @@ def cokernel(a: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroup:
 
 def h1_total_space(system, w: Word) -> AbelianGroup:
     """H1 of the Lefschetz fibration total space for a positive relator."""
+    _check_in_system(system, w)
     return _h1_of_classes(system.genus, _known_classes(system, w.letters))
 
 

@@ -173,6 +173,9 @@ def render_letter(letter: Letter, sign: int = 1) -> str:
     return body if sign == 1 else f"{body}^-1"
 
 
+_SIGNS = frozenset((1, -1))
+
+
 class Word:
     """A freely reduced word: a sequence of signed letters over one system."""
 
@@ -180,7 +183,15 @@ class Word:
 
     def __init__(self, system, letters: Iterable[tuple[Letter, int]], _reduced: bool = False):
         self.system = system
-        self.letters = tuple(letters if _reduced else _free_reduce_pairs(letters))
+        if not _reduced:
+            letters = tuple(letters)
+            # a letter is one twist, T or T^-1: the Meyer solve and the
+            # moves read no other sign
+            if not {s for _, s in letters} <= _SIGNS:
+                sign = next(s for _, s in letters if s not in _SIGNS)
+                raise McgError(f"letter sign must be 1 or -1, got {sign!r}")
+            letters = _free_reduce_pairs(letters)
+        self.letters = tuple(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -214,14 +225,16 @@ def render_word(word: Word) -> str:
     return " ".join(render_letter(l, s) for l, s in word.letters)
 
 
-def _check_same_system(u: Word, v: Word) -> None:
-    if u.system is not v.system:
-        raise SystemMismatch("words belong to different curve systems")
+def _check_in_system(system, w: Word) -> None:
+    """Refuse a word built over another system before any class is read:
+    its letter names would be looked up among this system's curves."""
+    if w.system is not system:
+        raise SystemMismatch("word belongs to a different curve system")
 
 
 def compose_words(u: Word, v: Word) -> Word:
     """Freely reduced concatenation u * v."""
-    _check_same_system(u, v)
+    _check_in_system(u.system, v)
     return Word(u.system, u.letters + v.letters)
 
 
@@ -249,7 +262,7 @@ def push_forward_word(W: Word, V: Word) -> Word:
 
     W is flattened once, and each distinct letter of V is normalized once.
     """
-    _check_same_system(W, V)
+    _check_in_system(W.system, V)
     flat = flatten_word(W)
     image: dict[Letter, Letter] = {}
     letters = []

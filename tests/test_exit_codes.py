@@ -19,6 +19,7 @@ from mcgcalc.errors import InvalidRelation, McgError, ParseError
 from mcgcalc.parser import MAX_GENUS, MAX_NESTING, parse_scripts, parse_system
 
 G2 = str(fixture_path("genus2_chain.mcg"))
+EX53 = str(fixture_path("ex53.script"))
 
 HEADER = (
     "genus 2\ncurve c1 = a1\ncurve c2 = b1\ncurve c3 = a1 + a2\ncurve p = ?\n"
@@ -251,3 +252,22 @@ def test_every_command_answers_0_1_or_2_on_arbitrary_bytes(tmp_path, system_byte
         code, _out, err = run(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "{tmp}/missing.mcg"], "No such file or directory"),
+        (["replay", G2, "{tmp}/empty.script"], "no scripts in "),
+        (["replay", G2, EX53, "--name", "nope"], "script 'nope' not found in "),
+        (["sites", G2, "nope", "LA"], "word 'nope' is not declared"),
+        (["sites", G2, "rho", "nope"], "relation 'nope' is not declared"),
+        (["solve-lantern", G2, "c3", "c5", "c5", "c3", "--known", "c1", "c2"],
+         "--known takes one name or three entries"),
+    ],
+)
+def test_command_usage_errors_exit_2_with_one_line(tmp_path, argv, message):
+    (tmp_path / "empty.script").write_text("# no script here\n")
+    code, out, err = run([arg.format(tmp=tmp_path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert message in err and err.count("\n") == 1

@@ -266,4 +266,4 @@ def test_tokens_match_finditer_tokenizer(text, line, k):
             toks.next("never a token")
         assert (got.value.col, got.value.token) == (want[k][1], want[k][0])
     else:
-        assert toks.done() and toks.col() == 0
+        assert toks.done() and toks.col() is None

@@ -1,8 +1,8 @@
 """Documented input limits, and round trips of the word syntax.
 
 Word powers and conjugator exponents expand at parse time and the
-two-unknown lantern search walks a whole box, so each has a limit that
-is checked before any work starts.  Past a limit, and for out-of-range
+two-unknown lantern search walks up to (2b+1)^2 lattice points, so each
+has a limit that is checked before any work starts.  Past a limit, and for out-of-range
 solver requests, the command line exits with code 2 and a one-line
 message, never a traceback.
 """
@@ -11,16 +11,18 @@ import contextlib
 import io
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcgcalc import fixture_path
+from mcgcalc import system as system_mod
 from mcgcalc.cli import run_command
 from mcgcalc.errors import InvalidSearch, McgError, ParseError
 from mcgcalc.parser import MAX_WORD_LETTERS, parse_scripts, parse_system, parse_word
-from mcgcalc.system import LANTERN_BOX_LIMIT, solve_lantern_classes
+from mcgcalc.system import LANTERN_WALK_LIMIT, solve_lantern_classes
 from mcgcalc.words import render_word
 
 G2 = str(fixture_path("genus2_chain.mcg"))
@@ -96,6 +98,13 @@ def test_cli_refuses_long_words_with_exit_2(tmp_path_factory, power, conj):
 LANTERN_G2 = ["solve-lantern", G2, "c3", "c5", "c5", "c3"]
 LANTERN_G3 = ["solve-lantern", G3, "c1", "c3", "c5", "c7"]
 
+# the least bound whose walk, (2b+1)^2 points at any genus, is past the limit
+FIRST_REFUSED = next(b for b in range(1, 10**4) if (2 * b + 1) ** 2 > LANTERN_WALK_LIMIT)
+
+
+def test_walk_limit_is_set_between_bounds_49_and_50():
+    assert FIRST_REFUSED == 50
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -103,9 +112,10 @@ LANTERN_G3 = ["solve-lantern", G3, "c1", "c3", "c5", "c7"]
         st.integers(-10**12, 0).map(lambda b: LANTERN_G2 + ["--known", "c1", "--bound", str(b)]),
         st.integers(-10**12, 0).map(lambda b: LANTERN_G3 + ["--known", "f1", "?", "t",
                                                             "--bound", str(b)]),
-        # (2b+1)^4 > 10^5 from b = 9 on at genus 2, (2b+1)^6 from b = 3 on at genus 3
-        st.integers(9, 10**12).map(lambda b: LANTERN_G2 + ["--known", "c1", "--bound", str(b)]),
-        st.integers(3, 10**12).map(lambda b: LANTERN_G3 + ["--known", "f1", "--bound", str(b)]),
+        st.integers(FIRST_REFUSED, 10**12).map(
+            lambda b: LANTERN_G2 + ["--known", "c1", "--bound", str(b)]),
+        st.integers(FIRST_REFUSED, 10**12).map(
+            lambda b: LANTERN_G3 + ["--known", "f1", "--bound", str(b)]),
         st.just(LANTERN_G2 + ["--known", "?", "?", "?"]),
         st.just(LANTERN_G3 + ["--known", "?", "?", "?", "--bound", "1"]),
     )
@@ -117,20 +127,65 @@ def test_solve_lantern_out_of_range_exits_2(argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def walk_spy():
+    """Patch ``_image_points`` with a spy that records its calls and walks
+    nothing, so an admitted search ends at once with no solution."""
+    calls = []
+    return calls, mock.patch.object(system_mod, "_image_points",
+                                    lambda m, bound: calls.append(bound) or [])
+
+
+@pytest.mark.parametrize("argv", [LANTERN_G2 + ["--known", "c1"],
+                                  LANTERN_G3 + ["--known", "f1"]])
+@pytest.mark.parametrize("bound", [FIRST_REFUSED - 1, FIRST_REFUSED, 10**12])
+def test_two_unknown_refusal_depends_on_the_bound_only(argv, bound):
+    calls, spy = walk_spy()
+    with spy:
+        code, out, err = run(argv + ["--bound", str(bound)])
+    walk = (2 * bound + 1) ** 2
+    if walk > LANTERN_WALK_LIMIT:
+        # refused before any matrix is built: the walk is never reached
+        assert (code, out, calls) == (2, "", [])
+        assert err == (f"two unknown classes at bound {bound} walk up to {walk} lattice "
+                       f"points, more than the limit of {LANTERN_WALK_LIMIT}\n")
+    else:
+        assert (code, err, calls) == (0, "", [bound])
+        assert out.startswith("0 solution(s)")
+
+
+def test_one_unknown_walks_nothing_and_is_not_limited(g2):
+    calls, spy = walk_spy()
+    with spy:
+        sols = solve_lantern_classes(g2, ["c3", "c5", "c5", "c3"], ["c1", "k", None],
+                                     bound=10**12)
+    assert calls == []
+    assert sols == solve_lantern_classes(g2, ["c3", "c5", "c5", "c3"], ["c1", "k", None])
+
+
+@pytest.mark.parametrize("argv, bound, small, count", [
+    (LANTERN_G3 + ["--known", "f1"], 3, 1, 8),
+    (LANTERN_G2 + ["--known", "c1"], 9, 2, 4),
+])
+def test_searches_the_box_refused_are_admitted(argv, bound, small, count):
+    # refused by the old (2b+1)^(2g) box limit; the walk finds the same
+    # solutions as at the smaller bound, which the box-walk oracle checks
+    code, out, err = run(argv + ["--bound", str(bound)])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{count} solution(s)")
+    _, expected, _ = run(argv + ["--bound", str(small)])
+    assert out.splitlines()[1:] == expected.splitlines()[1:]
+
+
 def test_solver_errors_are_typed(g2, g3):
     cases = [
         (g2, ["c3", "c5", "c5", "c3"], ["c1", None, None], 0),
         (g2, ["c3", "c5", "c5", "c3"], [None, None, None], 1),
-        (g3, ["c1", "c3", "c5", "c7"], ["f1", None, None], 3),
+        (g3, ["c1", "c3", "c5", "c7"], ["f1", None, None], FIRST_REFUSED),
     ]
     for system, d, right, bound in cases:
         with pytest.raises(InvalidSearch) as exc:
             solve_lantern_classes(system, d, right, bound=bound)
         assert isinstance(exc.value, McgError) and isinstance(exc.value, ValueError)
-
-
-def test_box_limit_admits_genus_3_at_bound_2():
-    assert 5**6 <= LANTERN_BOX_LIMIT < 7**6
 
 
 # -- render and parse -------------------------------------------------------

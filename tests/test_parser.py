@@ -250,6 +250,43 @@ def test_line_that_ends_inside_an_atom(tmp_path, line, message):
     assert run(["check", str(path)]) == (2, "", f"parse error: line 4: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("curve c3 = a1 +", "expected basis symbol"),
+        ("word w = [", "empty conjugator"),
+    ],
+)
+def test_error_at_the_end_of_a_line_names_no_column(line, message):
+    # columns are 1-based and the end of a line has none
+    with pytest.raises(ParseError) as exc:
+        parse_system("genus 2\ncurve c1 = a1\ncurve c2 = b1\n" + line + "\n")
+    assert (exc.value.line, exc.value.col, str(exc.value)) == (4, None, f"line 4: {message}")
+
+
+SCRIPT_HEAD = "genus 2\ncurve c1 = a1\ncurve c2 = b1\nmeet1 c1 c2\nbraid B : c1 c2\nword w = c1 c2\n"
+
+
+@pytest.mark.parametrize(
+    "system_line, script_line, message",
+    [
+        ("curve c3 =", None, "line 7: empty homology class"),
+        ("word v =", None, "line 7: empty word expression"),
+        ("septype c1 x", None, "line 7: septype needs an integer type (at 'x')"),
+        (None, "elem 1 X", "line 2: elem direction must be L or R (at 'X')"),
+        (None, "rot 0", "line 2: rot needs a nonzero integer (at '0')"),
+        (None, "subst B @ 1 up", "line 2: subst direction must be fwd or rev (at 'up')"),
+    ],
+)
+def test_statement_errors_name_their_line(system_line, script_line, message):
+    with pytest.raises(ParseError) as exc:
+        if script_line is None:
+            parse_system(SCRIPT_HEAD + system_line + "\n")
+        else:
+            parse_scripts("script s on w:\n  " + script_line + "\n", parse_system(SCRIPT_HEAD))
+    assert str(exc.value) == message
+
+
 REPEATS = """genus 2
 curve c1 = a1
 curve c2 = b1

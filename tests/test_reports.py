@@ -1,8 +1,10 @@
 import pytest
 
-from mcgcalc.errors import NotARelator, UnknownClass
+from mcgcalc.cli import run_command
+from mcgcalc.errors import NotARelator, SystemMismatch, UnknownClass
 from mcgcalc.meyer import factorization_signature
-from mcgcalc.moves import replay_script
+from mcgcalc.moves import find_sites, replay_script, substitute
+from mcgcalc.parser import parse_scripts, parse_system
 from mcgcalc.reports import (
     SECTION_TABLE,
     betti_summary,
@@ -12,7 +14,7 @@ from mcgcalc.reports import (
     singular_fiber_census,
     substitution_delta_report,
 )
-from mcgcalc.symplectic import AbelianGroup
+from mcgcalc.symplectic import AbelianGroup, h1_total_space, is_homological_relator
 
 
 def test_euler_characteristic_values(g2, g3):
@@ -159,3 +161,47 @@ def test_section_table_is_complete():
     lhs, rhs, bdry = SECTION_TABLE["lantern"]
     assert "C2" in lhs and "B2" in rhs and bdry == "L(4,1)"
     assert SECTION_TABLE["chain2"][2] == "Sigma(2,3,6)"
+
+
+ENTRY_POINTS = {
+    "full_report": full_report,
+    "euler_characteristic": euler_characteristic,
+    "singular_fiber_census": singular_fiber_census,
+    "factorization_signature": factorization_signature,
+    "h1_total_space": h1_total_space,
+    "is_homological_relator": is_homological_relator,
+    "substitute": lambda system, w: substitute(system, w, system.relations["LFTV"], 1, "fwd"),
+    "find_sites": lambda system, w: find_sites(system, w, system.relations["LFTV"]),
+    "fiber_sum": lambda system, w: fiber_sum(system, w, w, system.empty_word()),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_a_word_of_another_system_is_a_mismatch(g2, g3, name):
+    # g3 would read its own classes for g2's letter names; refused first
+    with pytest.raises(SystemMismatch, match="word belongs to a different curve system"):
+        ENTRY_POINTS[name](g3, g2.words["rho"])
+
+
+ASSUMED = """genus 2
+curve c1 = a1
+curve c3 = a1 + a2
+curve c5 = a2
+curve k = 0
+curve h = ?
+lantern LA : c3 c5 c5 c3 => c1 k h
+word w = h c3 c5 c5 c3
+"""
+
+
+def test_delta_report_names_assumed_relations(tmp_path):
+    # h is opaque, so LA cannot be checked homologically and is assumed
+    system = parse_system(ASSUMED)
+    assert system.relations["LA"].status == "assumed"
+    script_text = "script s on w:\n  subst LA @ 2 fwd\n"
+    result = replay_script(system, parse_scripts(script_text, system)["s"])
+    delta = substitution_delta_report(system, result)
+    assert delta.lines[-1] == "relies on assumed relations: LA"
+    (tmp_path / "a.mcg").write_text(ASSUMED)
+    (tmp_path / "a.script").write_text(script_text)
+    assert run_command(["replay", str(tmp_path / "a.mcg"), str(tmp_path / "a.script")]) == 0

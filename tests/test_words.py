@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcgcalc.errors import SystemMismatch
+from mcgcalc.errors import McgError, SystemMismatch
 from mcgcalc.system import CurveSystem
 from mcgcalc.words import (
     _free_reduce_pairs,
@@ -112,6 +112,19 @@ def test_system_mismatch(sys2):
     other = chain_system()
     with pytest.raises(SystemMismatch):
         compose_words(sys2.word(["c1"]), other.word(["c1"]))
+
+
+@pytest.mark.parametrize("sign", [2, 0, -2])
+def test_a_letter_sign_is_1_or_minus_1(sys2, sign):
+    c1 = sys2.letter("c1")
+    msg = f"letter sign must be 1 or -1, got {sign}"
+    with pytest.raises(McgError, match=msg):
+        Word(sys2, [(c1, 1), (c1, sign)])
+    with pytest.raises(McgError, match=msg):
+        sys2.word(["c2", ("c1", sign)])
+    # a sign that would cancel against its mirror is refused too
+    with pytest.raises(McgError, match=msg):
+        Word(sys2, [(c1, sign), (c1, -sign)])
 
 
 def test_is_positive(sys2):
