@@ -11,12 +11,15 @@ from importlib import resources
 
 from .errors import (
     DimensionError,
+    InvalidMove,
     InvalidRelation,
     InvalidSearch,
     InvalidSystem,
     MalformedRelation,
     McgError,
+    MoveOutOfRange,
     NotARelator,
+    NotPositive,
     NotSymplectic,
     ParseError,
     ScriptError,

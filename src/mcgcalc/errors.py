@@ -43,6 +43,22 @@ class InvalidSearch(McgError, ValueError):
     type these requests raised before they had their own."""
 
 
+class NotPositive(McgError, ValueError):
+    """A word with an inverse letter where a positive word is needed: a
+    move's input, or a fibration's Euler characteristic.  Also a
+    ValueError, the type it raised before it had its own."""
+
+
+class InvalidMove(McgError, ValueError):
+    """A move with an unknown direction, or a script step that is no move.
+    Also a ValueError, the type it raised before it had its own."""
+
+
+class MoveOutOfRange(McgError, IndexError):
+    """A move's index or position outside its word.  Also an IndexError,
+    the type it raised before it had its own."""
+
+
 class SubstMismatch(McgError):
     """The word does not match the relation side at the given position."""
 

@@ -49,8 +49,11 @@ from typing import Optional
 
 from . import symplectic as sp
 from .errors import (
+    InvalidMove,
     InvalidRelation,
+    MoveOutOfRange,
     NotARelator,
+    NotPositive,
     ScriptError,
     SubstMismatch,
 )
@@ -111,7 +114,7 @@ class DerivationScript:
 
 def _require_positive(w: Word) -> None:
     if not is_positive(w):
-        raise ValueError("move requires a positive word")
+        raise NotPositive("move requires a positive word")
 
 
 def elementary_transformation(w: Word, i: int, direction: str) -> Word:
@@ -123,7 +126,7 @@ def elementary_transformation(w: Word, i: int, direction: str) -> Word:
     """
     _require_positive(w)
     if not (1 <= i < len(w.letters)):
-        raise IndexError(f"elementary transformation index {i} out of range")
+        raise MoveOutOfRange(f"elementary transformation index {i} out of range")
     letters = list(w.letters)
     (x, _), (y, _) = letters[i - 1], letters[i]
     system = w.system
@@ -134,7 +137,7 @@ def elementary_transformation(w: Word, i: int, direction: str) -> Word:
         conj = Word(system, ((x, 1),), _reduced=True)
         letters[i - 1 : i + 1] = [(twist_conjugate_letter(conj, y), 1), (x, 1)]
     else:
-        raise ValueError(f"direction must be 'L' or 'R', got {direction!r}")
+        raise InvalidMove(f"direction must be 'L' or 'R', got {direction!r}")
     return Word(system, letters, _reduced=True)
 
 
@@ -186,7 +189,7 @@ def _side(rel: RelationDecl, direction: str) -> tuple[tuple, tuple]:
         return rel.left, rel.right
     if direction == "rev":
         return rel.right, rel.left
-    raise ValueError(f"direction must be 'fwd' or 'rev', got {direction!r}")
+    raise InvalidMove(f"direction must be 'fwd' or 'rev', got {direction!r}")
 
 
 def substitute(
@@ -205,7 +208,7 @@ def substitute(
         raise InvalidRelation(f"relation {rel.name} is not a relation of this system")
     src, dst = _side(rel, direction)
     if not (1 <= position <= len(w.letters) - len(src) + 1):
-        raise IndexError(f"substitution position {position} out of range")
+        raise MoveOutOfRange(f"substitution position {position} out of range")
     window = w.letters[position - 1 : position - 1 + len(src)]
     if tuple(l for l, _ in window) != tuple(src):
         raise SubstMismatch(
@@ -341,7 +344,7 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
                 if rel.status == "assumed":
                     record.assumed_relation = rel.name
             else:
-                raise ValueError(f"unknown move {move!r}")
+                raise InvalidMove(f"unknown move {move!r}")
         except (IndexError, ValueError, SubstMismatch, InvalidRelation) as exc:
             raise ScriptError(idx, str(move), str(exc)) from exc
         record.length, record.word = len(w.letters), w

@@ -23,9 +23,8 @@ parentheses nest at most ``MAX_NESTING`` deep and the genus is at most
 twist is applied last.  ``#`` starts a comment.  Files are UTF-8 text.
 Every declared NAME (curve, word, relation, script) is an identifier,
 a curve, word, relation, script or septype is declared once, and a
-script has at most one ``expect``.
-``load_system`` is the one gate from a system file to a validated
-system.
+script has at most one ``expect``.  ``load_system`` is the one gate
+from a system file to a validated system.
 
 Script files hold derivations:
 
@@ -63,22 +62,22 @@ MAX_GENUS = 1000
 # end in a RecursionError instead of a ParseError.
 MAX_NESTING = 100
 
-# a token after optional whitespace, or else (group 2) the character
-# that starts no token
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|-?\d+|\+|-|\^|\[|\]|\(|\)|=>|=|:|@|\?)|(\S))")
+# a token (a name, an integer or an operator) after optional whitespace;
+# a character that starts none matches outside the group, read as ""
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|-?\d+|=>|[-+^\[\]()=:@?])|\S)")
 
 
 class _Tokens:
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.line = line
-        # one findall per line; a character that starts no token leaves
-        # group 1 empty, and no token is empty
-        self.toks = [tok for tok, _ in _TOKEN.findall(text)]
+    """One line's tokens, read by one ``findall``, and a cursor over them."""
+
+    __slots__ = ("text", "line", "toks", "i")
+
+    def __init__(self, text: str, line: int, i: int = 0):
+        self.text, self.line, self.i = text, line, i
+        self.toks = _TOKEN.findall(text)
         if "" in self.toks:
-            m = next(m for m in _TOKEN.finditer(text) if m.group(2) is not None)
-            raise ParseError("unrecognized token", line, m.start(2) + 1, m.group(2))
-        self.i = 0
+            m = list(_TOKEN.finditer(text))[self.toks.index("")]
+            raise ParseError("unrecognized token", line, m.end(), m.group()[-1])
 
     @property
     def items(self) -> list[tuple[str, int]]:
@@ -116,6 +115,16 @@ class _Tokens:
         if not self.done():
             raise ParseError("trailing input", self.line, self.col(), self.toks[self.i])
 
+    def args(self, k: int) -> list[str]:
+        """The next k tokens, which must end the line: k ``next`` calls and
+        ``require_done`` in one step, with their errors."""
+        if self.i + k != len(self.toks):
+            for _ in range(k):
+                self.next()
+            self.require_done()
+        self.i += k
+        return self.toks[-k:]
+
 
 # a token is a name exactly when its first character may start one: no
 # token is empty, and the tokenizer's first alternative reads whole names
@@ -123,8 +132,9 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _INT = re.compile(r"-?\d+$")
 _BASIS = re.compile(r"([ab])(\d+)$")
 
-# an atom's tokens, its one name or "[" through its base name, to its letter
-_Memo = dict[tuple[str, ...], Letter]
+# a plain atom's name, or a conjugated atom's tokens from "[" through its
+# base name, to its letter
+_Memo = dict[str | tuple[str, ...], Letter]
 
 
 def _is_name(tok: Optional[str]) -> bool:
@@ -154,42 +164,39 @@ def _int(tok: Optional[str], line: int) -> Optional[int]:
 
 
 def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
-    if toks.peek() == "?":
-        toks.next()
+    """The class the rest of the line spells, read with a local index;
+    ``toks.i`` is set before every raise, as in ``_parse_conj``."""
+    seq, line, i = toks.toks, toks.line, toks.i
+    n = len(seq)
+    if i < n and seq[i] == "?":
+        toks.i = i + 1
         toks.require_done()
         return None
     vec = [0] * (2 * genus)
-    if toks.peek() == "0" and toks.i == len(toks.toks) - 1:
-        toks.next()
+    if i == n - 1 and seq[i] == "0":
+        toks.i = n
         return tuple(vec)
-    parsed_any = False
-    while not toks.done():
-        sign = 1
-        tok = toks.peek()
+    if i == n:
+        raise ParseError("empty homology class", line)
+    while i < n:
+        sign, tok = 1, seq[i]
         if tok in ("+", "-"):
-            toks.next()
             sign = -1 if tok == "-" else 1
-            tok = toks.peek()
-        coeff = _int(tok, toks.line)
-        if coeff is None:
-            coeff = 1
-        else:
-            toks.next()
-            tok = toks.peek()
+            i += 1
+            tok = seq[i] if i < n else None
+        if not _is_name(tok) and (coeff := _int(tok, line)) is not None:
+            sign *= coeff
+            i += 1
+            tok = seq[i] if i < n else None
+        toks.i = i
         if not _is_name(tok):
-            raise ParseError("expected basis symbol", toks.line, toks.col(), tok)
-        name = toks.next()
-        m = _BASIS.match(name)
-        k = _int(m.group(2), toks.line) if m else None
+            raise ParseError("expected basis symbol", line, toks.col(), tok)
+        toks.i = i = i + 1
+        m = _BASIS.match(tok)
+        k = _int(m.group(2), line) if m else None
         if k is None or not (1 <= k <= genus):
-            raise ParseError(
-                f"unresolved basis symbol for genus {genus}", toks.line, toks.last_col(), name
-            )
-        idx = 2 * (k - 1) + (0 if m.group(1) == "a" else 1)
-        vec[idx] += sign * coeff
-        parsed_any = True
-    if not parsed_any:
-        raise ParseError("empty homology class", toks.line)
+            raise ParseError(f"unresolved basis symbol for genus {genus}", line, toks.last_col(), tok)
+        vec[2 * (k - 1) + (0 if m.group(1) == "a" else 1)] += sign
     return tuple(vec)
 
 
@@ -233,17 +240,16 @@ def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
     """The next atom's letter.
 
     ``memo`` holds the atoms already read in this parse, so a repeated
-    atom text is read and normalized once.  Only an atom that parses is
-    stored, so a key cut short by the end of the line never hits.
+    atom text is read and normalized once: a plain atom by its name, a
+    conjugated one by its tokens.  Only an atom that parses is stored,
+    so a key cut short by the end of the line never hits.
     """
     seq, start = toks.toks, toks.i
-    end = start + 1
-    if toks.peek() == "[":
-        try:
-            end = seq.index("]", start) + 2
-        except ValueError:
-            end = len(seq)
-    key = tuple(seq[start:end])
+    if start < len(seq) and seq[start] != "[":
+        key, end = seq[start], start + 1
+    else:
+        end = seq.index("]", start) + 2 if "]" in seq[start:] else len(seq)
+        key = tuple(seq[start:end])
     letter = memo.get(key)
     if letter is not None:
         toks.i = end
@@ -275,16 +281,15 @@ def _word_power(toks: _Tokens) -> int:
 def _extend(letters: list[Letter], unit: list[Letter], power: int, line: int) -> None:
     """Append ``unit`` ``power`` times, refusing past MAX_WORD_LETTERS."""
     if len(letters) + len(unit) * power > MAX_WORD_LETTERS:
-        raise ParseError(
-            f"word expression expands past {MAX_WORD_LETTERS} letters", line
-        )
+        raise ParseError(f"word expression expands past {MAX_WORD_LETTERS} letters", line)
     letters.extend(unit * power)
 
 
 def _parse_word_expr(toks: _Tokens, system: CurveSystem, memo: _Memo, depth: int = 0) -> list[Letter]:
+    seq, n = toks.toks, len(toks.toks)
     letters: list[Letter] = []
-    while not toks.done():
-        tok = toks.peek()
+    while toks.i < n:
+        tok = seq[toks.i]
         if tok == ")":
             if depth == 0:
                 raise ParseError("unbalanced ')'", toks.line, toks.col(), tok)
@@ -300,8 +305,8 @@ def _parse_word_expr(toks: _Tokens, system: CurveSystem, memo: _Memo, depth: int
             continue
         atom = _parse_atom(toks, system, memo)
         power = 1
-        if toks.peek() == "^":
-            toks.next()
+        if toks.i < n and seq[toks.i] == "^":
+            toks.i += 1
             power = _word_power(toks)
         _extend(letters, [atom], power, toks.line)
     if not letters:
@@ -310,10 +315,11 @@ def _parse_word_expr(toks: _Tokens, system: CurveSystem, memo: _Memo, depth: int
 
 
 def _word_body(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Word:
-    """The word the rest of the line spells."""
+    """The word the rest of the line spells.  It is positive, so free
+    reduction would cancel nothing: the Word is built as reduced."""
     letters = _parse_word_expr(toks, system, memo)
     toks.require_done()
-    return Word(system, tuple((l, 1) for l in letters))
+    return Word(system, [(l, 1) for l in letters], _reduced=True)
 
 
 def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
@@ -322,12 +328,13 @@ def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
 
 def _statements(text: str) -> Iterator[tuple[int, bool, _Tokens, str]]:
     """(line number, indented, tokens, statement) for each line that holds
-    more than a comment; the statement is the line's first token."""
+    more than a comment; the statement is the line's first token, and
+    the cursor stands after it.  Lines end where ``str.splitlines`` ends them."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].rstrip()
-        if body:
-            toks = _Tokens(body, lineno)
-            yield lineno, body[0].isspace(), toks, toks.next()
+        body = raw.split("#", 1)[0]
+        if body and not body.isspace():
+            toks = _Tokens(body, lineno, 1)
+            yield lineno, body[0].isspace(), toks, toks.toks[0]
 
 
 def parse_system(text: str, source: str = "<string>") -> CurveSystem:
@@ -353,15 +360,12 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
             if stmt == "curve":
                 name = _name(toks)
                 toks.next("=")
-                cls = _parse_class(toks, system.genus)
-                system.add_curve(name, cls)
+                system.add_curve(name, _parse_class(toks, system.genus))
             elif stmt in ("disjoint", "meet1"):
-                a, b = toks.next(), toks.next()
-                toks.require_done()
+                a, b = toks.args(2)
                 (system.add_disjoint if stmt == "disjoint" else system.add_meet1)(a, b)
             elif stmt == "septype":
-                name, htok = toks.next(), toks.next()
-                toks.require_done()
+                name, htok = toks.args(2)
                 h = _int(htok, lineno)
                 if h is None:
                     raise ParseError("septype needs an integer type", lineno, token=htok)
@@ -423,9 +427,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
         if current is None or not indented:
             raise ParseError("script steps must be indented under a script header", lineno, token=stmt)
         if stmt == "elem":
-            tok = toks.next()
-            direction = toks.next()
-            toks.require_done()
+            tok, direction = toks.args(2)
             idx = _int(tok, lineno)
             if idx is None or idx < 1:
                 raise ParseError("elem needs a positive index", lineno, token=tok)
@@ -444,8 +446,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError(str(exc), lineno) from exc
             steps[current].append(Conj(Word(system, letters)))
         elif stmt == "rot":
-            tok = toks.next()
-            toks.require_done()
+            (tok,) = toks.args(1)
             k = _int(tok, lineno)
             if not k:
                 raise ParseError("rot needs a nonzero integer", lineno, token=tok)
@@ -465,8 +466,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError("subst direction must be fwd or rev", lineno, token=direction)
             steps[current].append(Subst(rel, pos, direction))
         elif stmt == "expect":
-            name = toks.next()
-            toks.require_done()
+            (name,) = toks.args(1)
             if current in expects:
                 raise ParseError(f"script {current!r} already has an expect", lineno)
             if name not in system.words:

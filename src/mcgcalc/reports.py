@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import meyer, symplectic as sp
-from .errors import NotARelator
+from .errors import NotARelator, NotPositive
 from .moves import ReplayResult
 from .system import CurveSystem
 from .words import Word, _check_in_system, is_positive, push_forward_word
@@ -88,7 +88,7 @@ def euler_characteristic(system: CurveSystem, w: Word) -> int:
     """e = 4 - 4g + n for a genus-g fibration with n singular fibers."""
     _check_in_system(system, w)
     if not is_positive(w):
-        raise ValueError("euler characteristic needs a positive word")
+        raise NotPositive("euler characteristic needs a positive word")
     return 4 - 4 * system.genus + len(w.letters)
 
 
@@ -148,17 +148,17 @@ def betti_summary(e: int, sigma: int) -> tuple[int, int]:
 def full_report(system: CurveSystem, w: Word) -> InvariantReport:
     """Assemble every computable invariant of the fibration of ``w``.
 
-    Requires a homological relator; raises NotARelator otherwise and
-    UnknownClass when opaque curves block the computation.  The word's
+    Requires a positive word, checked before any class is read, and a
+    homological relator: raises NotPositive, then UnknownClass when
+    opaque curves block the computation, then NotARelator.  The word's
     classes are read once, into one class table that sigma, the census
     and H1 share.
     """
-    _check_in_system(system, w)
+    e = euler_characteristic(system, w)
     g = system.genus
     table = sp._known_classes(system, w.letters)
     sigma = meyer._relator_signature(system, table)
     census = _census(system, w.letters, table)
-    e = euler_characteristic(system, w)
     h1 = sp._h1_of_classes(g, table)
     b2plus = b2minus = b1 = None
     annotations = [

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, UnknownClass
@@ -36,16 +38,10 @@ def pairing(u: Sequence[int], v: Sequence[int]) -> int:
     return total
 
 
-def standard_j(g: int) -> Mat:
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = -1
-    return tuple(tuple(r) for r in rows)
-
-
+@lru_cache(maxsize=16)
 def mat_identity(n: int) -> Mat:
+    """The n x n identity, one shared tuple per size since Mat is immutable;
+    at most 16 sizes are kept, so the memory held stays bounded."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -61,11 +57,12 @@ def mat_vec(a: Mat, v: Sequence[int]) -> Vec:
 
 
 def is_symplectic(m: Mat) -> bool:
+    """M^T J M = J, that is J^-1 M^T J M = I: the signed transpose
+    ``symplectic_inverse`` is a left inverse."""
     n = len(m)
     if n % 2 or any(len(row) != n for row in m):
         return False
-    j = standard_j(n // 2)
-    return mat_mul(mat_mul(tuple(zip(*m)), j), m) == j
+    return mat_mul(symplectic_inverse(m), m) == mat_identity(n)
 
 
 def symplectic_inverse(m: Mat) -> Mat:
@@ -96,21 +93,20 @@ def twist_product(m: Mat, twists: Iterable[tuple[Sequence[int], int]]) -> Mat:
 
 def _twist_rows(rows: list[list[int]], twists: Iterable[tuple[Sequence[int], int]]) -> None:
     """``twist_product`` in place on the row lists of M.  Each factor is the
-    rank-1 update M T_v^s = M + s (Mv) <., v>: column j of M gains
-    s <e_j, v> Mv, so no T_v is built and a factor costs O(n^2)."""
+    rank-1 update M T_v^s = M + s (Mv) <., v>: column i ^ 1 of M gains
+    s <e_{i^1}, v> Mv, which is s v[i] Mv for odd i and -s v[i] Mv for
+    even i, so no T_v is built and a factor costs O(n^2)."""
     n = len(rows)
     for v, s in twists:
         if len(v) != n:
             raise DimensionError(f"vector of length {len(v)} against a {n}x{n} matrix")
-        # <e_j, v> is v[j+1] for even j and -v[j-1] for odd j
-        phi = [s * v[j + 1] if j % 2 == 0 else -s * v[j - 1] for j in range(n)]
-        support = [(j, f) for j, f in enumerate(phi) if f]
-        vsupport = [(j, x) for j, x in enumerate(v) if x]
-        for row in rows:
-            c = sum(row[j] * x for j, x in vsupport)
-            if c:
-                for j, f in support:
-                    row[j] += c * f
+        support = [(i ^ 1, s * x if i & 1 else -s * x) for i, x in enumerate(v) if x]
+        if support:
+            for row in rows:
+                c = sum(map(mul, row, v))
+                if c:
+                    for j, f in support:
+                        row[j] += c * f
 
 
 def transvection(a: Sequence[int], sign: int = 1) -> Mat:

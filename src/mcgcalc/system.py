@@ -85,7 +85,7 @@ class CurveSystem:
         if name in self._curves:
             raise ValueError(f"curve {name!r} already declared")
         if cls is not None:
-            cls = tuple(int(x) for x in cls)
+            cls = tuple(map(int, cls))
             if len(cls) != 2 * self.genus:
                 raise DimensionError(
                     f"class of {name!r} has length {len(cls)}, expected {2 * self.genus}"
@@ -170,6 +170,10 @@ class CurveSystem:
         text, and reads every atom after the last disjoint or meet1 fact.
         """
         conj = tuple(conj)
+        if not conj:
+            # a plain letter is its own normal form
+            self._require(base)
+            return Letter((), base)
         # each distinct name once, base first, so the first undeclared
         # curve is named
         for name in dict.fromkeys([base, *(name for name, _ in conj)]):

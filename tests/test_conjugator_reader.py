@@ -134,7 +134,7 @@ def step_texts(draw):
 
 def check_word(text):
     got = outcome(lambda: parse_word(SYSTEM, text, 3).letters)
-    want = outcome(lambda: Word(SYSTEM, oracle.word_body(_Tokens(text, 3), SYSTEM)).letters)
+    want = outcome(lambda: Word(SYSTEM, oracle.word_body(oracle.Tokens(text, 3), SYSTEM)).letters)
     assert got == want
 
 
@@ -148,7 +148,7 @@ def check_system(lines):
     def expected():
         words = {}
         for k, line in enumerate(lines):
-            toks = _Tokens(f"word w{k} = {line}", first + k)
+            toks = oracle.Tokens(f"word w{k} = {line}", first + k)
             toks.i = 3
             words[f"w{k}"] = Word(head, oracle.word_body(toks, head)).letters
         return words
@@ -162,13 +162,13 @@ def check_step(text):
     got = outcome(lambda: parse_scripts(script, SYSTEM)["s"].steps[0].word.letters)
 
     def expected():
-        toks = _Tokens(f"  conj {text}", 2)
+        toks = oracle.Tokens(f"  conj {text}", 2)
         toks.next()
         return Word(SYSTEM, oracle.conj_step(toks, SYSTEM)).letters
 
     assert got == outcome(expected)
     # the reader leaves the tokens where the oracle does, also on a raise
-    fast, slow = _Tokens(text, 2), _Tokens(text, 2)
+    fast, slow = _Tokens(text, 2), oracle.Tokens(text, 2)
     assert outcome(lambda: _parse_conj(fast)) == outcome(lambda: oracle.parse_conj(slow))
     assert fast.i == slow.i
 

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from mcgcalc import symplectic as sp
 from mcgcalc.errors import ParseError, UnknownClass
 from mcgcalc.moves import elementary_transformation, simultaneous_conjugation
-from mcgcalc.parser import _TOKEN, _Tokens, parse_system
+from mcgcalc.parser import _Tokens, parse_system
 from mcgcalc.system import CurveSystem
 from mcgcalc.words import flatten_word, normalize_conjugator
-from tests import snf_oracle
+from tests import parser_oracle, snf_oracle
 from tests.conftest import load_fixture_system
 from tests.flat_oracle import twist_classes
 from tests.test_incremental_replay import chain_text
@@ -221,7 +221,7 @@ def test_h1_matches_full_column_oracle_on_fixture_words():
 def finditer_items(text, line):
     """The tokenizer as it was: one Match per token, columns for all."""
     items = []
-    for m in _TOKEN.finditer(text):
+    for m in parser_oracle.TOKEN.finditer(text):
         if m.group(2) is not None:
             raise ParseError("unrecognized token", line, m.start(2) + 1, m.group(2))
         items.append((m.group(1), m.start(1) + 1))

@@ -302,16 +302,19 @@ braid D : c1 c2
 
 
 def test_each_atom_text_is_normalized_once(monkeypatch):
-    import mcgcalc.system
+    from mcgcalc.system import CurveSystem
 
+    # a plain letter is built without normalizing, so the letters are
+    # counted where they are built: (base, twists in the conjugator)
     calls = []
-    original = mcgcalc.system.normalize_conjugator
+    original = CurveSystem.letter
 
-    def spy(system, pairs, base):
-        calls.append((base, len(pairs)))
-        return original(system, pairs, base)
+    def spy(system, base, conj=()):
+        conj = tuple(conj)
+        calls.append((base, sum(abs(exp) for _, exp in conj)))
+        return original(system, base, conj)
 
-    monkeypatch.setattr(mcgcalc.system, "normalize_conjugator", spy)
+    monkeypatch.setattr(CurveSystem, "letter", spy)
     s = parse_system(REPEATS)
     # c1, [c1^2]c2, c2 and [c2]c1 from u, then [c1 c1]c2 and c3 from v;
     # the relations repeat only texts already read

@@ -186,6 +186,28 @@ def refused(system, decl):
     return decl.name not in system.relations
 
 
+def test_opaque_curves_end_as_assumed_after_the_pairing_check():
+    s = CurveSystem(2)
+    s.add_curve("c1", A1)
+    s.add_curve("c2", B1)
+    s.add_curve("c3", (1, 0, 1, 0))
+    s.add_curve("x", None)
+    c1, c2, c3, x = (s.letter(n) for n in ("c1", "c2", "c3", "x"))
+    # the opening pair pairs wrongly, so an opaque letter after it is never read
+    assert refused(s, make_relation("chain2", "wrong", c1, c3, x))
+    decl = RelationDecl("wrong3", "braid", (c1, c3, x), (c3, c1, c3))
+    assert validate_relation_decl(s, decl) is False
+    # an opaque letter in the opening pair, or after a pair that checks out
+    for name, kind, atoms in (("bx", "braid", (c1, x)), ("cx", "chain2", (c1, c2, x)),
+                              ("lx", "lantern", (c1, c1, c3, c3, x, c2, c1))):
+        decl = make_relation(kind, name, *atoms)
+        with pytest.raises(UnknownClass, match="'x'"):
+            validate_relation_decl(s, decl)
+        s.add_relation(decl)
+        assert s.relations[name].status == "assumed"
+        assert s.assumptions[-1] == f"relation {name}: not homologically checkable (opaque curves)"
+
+
 def test_braid_needs_one_point_pairing():
     s = CurveSystem(2)
     s.add_curve("c1", A1)

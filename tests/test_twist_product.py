@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mcgcalc import symplectic as sp
+from mcgcalc.errors import DimensionError
 from mcgcalc.meyer import factorization_signature, local_signature, meyer_tau
 from mcgcalc.moves import elementary_transformation
 from mcgcalc.symplectic import (
@@ -41,21 +42,52 @@ def random_twists(rng, n, count):
             for _ in range(count)]
 
 
+def huge_twist(rng, n):
+    """A class with entries past 2^64 beside small ones, and a sign."""
+    big = 2 ** 64
+    return (tuple(rng.choice([-1, 1]) * rng.randrange(big, 4 * big) if rng.random() < 0.5
+                  else rng.randrange(-3, 4) for _ in range(n)), rng.choice([1, -1]))
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_twist_product_matches_dense_product(g):
     rng = random.Random(100 + g)
     n = 2 * g
     zero = (0,) * n
-    for _ in range(60):
+    past_64_bits = 0
+    for k in range(60):
         start = mat_identity(n)
         while start == mat_identity(n):
             start = dense_product(start, random_twists(rng, n, 3))
         twists = random_twists(rng, n, rng.randrange(0, 4))
         twists.insert(rng.randrange(len(twists) + 1), (zero, rng.choice([1, -1])))
-        assert twist_product(start, twists) == dense_product(start, twists)
-        for v, s in twists:
-            assert twist_product(start, [(v, s)]) == mat_mul(start, dense_transvection(v, s))
-            assert transvection(v, s) == dense_transvection(v, s)
+        if k % 2:
+            # classes past 2^64, and a start matrix with such entries
+            twists.insert(rng.randrange(len(twists) + 1), huge_twist(rng, n))
+            start = dense_product(start, [huge_twist(rng, n)])
+        product = twist_product(start, twists)
+        assert product == dense_product(start, twists)
+        past_64_bits += any(abs(x) >= 2 ** 64 for row in product for x in row)
+        for v, _ in twists:
+            for s in (1, -1):
+                assert twist_product(start, [(v, s)]) == mat_mul(start, dense_transvection(v, s))
+                assert transvection(v, s) == dense_transvection(v, s)
+    assert past_64_bits >= 25
+
+
+def test_twist_product_refuses_a_class_of_another_length():
+    for v in ((1, 0, 0), (0,) * 6, (2, -1)):
+        for s in (1, -1):
+            with pytest.raises(DimensionError) as info:
+                twist_product(mat_identity(4), [((0,) * 4, 1), (v, s)])
+            assert str(info.value) == f"vector of length {len(v)} against a 4x4 matrix"
+
+
+def test_identity_is_one_shared_tuple():
+    assert mat_identity(6) is mat_identity(6)
+    assert mat_identity(6) == tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    assert twist_product(mat_identity(4), [((1, 2, 0, 0), 1)]) != mat_identity(4)
+    assert mat_identity(4) == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def hurwitz_walk(w, seed, steps):

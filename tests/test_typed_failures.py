@@ -1,0 +1,126 @@
+"""Positivity and move failures end as typed McgErrors.
+
+``NotPositive``, ``InvalidMove`` and ``MoveOutOfRange`` each derive
+from ``McgError`` and from the builtin they replace, with the messages
+of before, so ``except ValueError`` / ``except IndexError`` callers,
+``replay_script``'s among them, keep working.  ``full_report`` refuses
+a non-positive word before it reads any class.
+"""
+
+import pytest
+
+from mcgcalc import meyer, symplectic as sp
+from mcgcalc.errors import (
+    InvalidMove,
+    McgError,
+    MoveOutOfRange,
+    NotARelator,
+    NotPositive,
+    ScriptError,
+    UnknownClass,
+)
+from mcgcalc.moves import (
+    DerivationScript,
+    Elem,
+    _require_positive,
+    elementary_transformation,
+    replay_script,
+    rotate,
+    simultaneous_conjugation,
+    substitute,
+)
+from mcgcalc.parser import parse_word
+from mcgcalc.reports import euler_characteristic, full_report
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Calls of the Meyer tau step and of the class table."""
+    calls = {"tau": 0, "classes": 0}
+
+    def spy(name, module, attr):
+        real = getattr(module, attr)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, attr, counting)
+
+    spy("tau", meyer, "_transvection_tau")
+    spy("classes", sp, "_class_table")
+    return calls
+
+
+def test_full_report_refuses_a_non_positive_relator_before_any_class(g2, spies):
+    w = parse_word(g2, "[c1]c2 c1") * ~parse_word(g2, "c1 c2")
+    assert sp.is_homological_relator(g2, w)
+    spies["classes"] = 0
+    with pytest.raises(NotPositive) as info:
+        full_report(g2, w)
+    assert isinstance(info.value, McgError) and isinstance(info.value, ValueError)
+    assert str(info.value) == "euler characteristic needs a positive word"
+    assert spies == {"tau": 0, "classes": 0}
+    with pytest.raises(NotPositive, match="^euler characteristic needs a positive word$"):
+        euler_characteristic(g2, w)
+    with pytest.raises(NotPositive, match="^move requires a positive word$") as info:
+        _require_positive(w)
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(NotPositive):
+        elementary_transformation(w, 1, "L")
+
+
+@pytest.mark.parametrize("text, before", [
+    ("c1 x1", UnknownClass),  # opaque, and not a relator
+    ("c1 c2", NotARelator),
+])
+def test_positivity_is_checked_first(g3, spies, text, before):
+    # the error the word gets when positive, and NotPositive with an
+    # inverse letter, whatever else is wrong with it
+    w = parse_word(g3, text)
+    with pytest.raises(before):
+        full_report(g3, w)
+    spies.update(tau=0, classes=0)
+    with pytest.raises(NotPositive):
+        full_report(g3, w * ~parse_word(g3, "c3"))
+    assert spies == {"tau": 0, "classes": 0}
+
+
+def test_move_errors_are_typed_with_their_builtin(g2):
+    rho = g2.words["rho"]
+    with pytest.raises(MoveOutOfRange) as info:
+        elementary_transformation(rho, 99, "L")
+    assert isinstance(info.value, McgError) and isinstance(info.value, IndexError)
+    assert str(info.value) == "elementary transformation index 99 out of range"
+    with pytest.raises(InvalidMove, match="^direction must be 'L' or 'R', got 'X'$") as info:
+        elementary_transformation(rho, 1, "X")
+    assert isinstance(info.value, ValueError)
+    la = g2.relations["LA"]
+    with pytest.raises(MoveOutOfRange, match="^substitution position 99 out of range$") as info:
+        substitute(g2, rho, la, 99, "fwd")
+    assert isinstance(info.value, IndexError)
+    with pytest.raises(InvalidMove, match="^direction must be 'fwd' or 'rev', got 'up'$"):
+        substitute(g2, rho, la, 1, "up")
+
+
+@pytest.mark.parametrize("step, message", [
+    (Elem(99, "L"), "elementary transformation index 99 out of range"),
+    (Elem(1, "X"), "direction must be 'L' or 'R', got 'X'"),
+    ("a move of no kind", "unknown move 'a move of no kind'"),
+])
+def test_replay_turns_move_errors_into_script_errors(g2, step, message):
+    script = DerivationScript("s", "rho", (step,))
+    with pytest.raises(ScriptError) as info:
+        replay_script(g2, script)
+    assert (info.value.step, str(info.value)) == (1, f"step 1 ({step}): {message}")
+    assert isinstance(info.value.__cause__, (MoveOutOfRange, InvalidMove))
+
+
+def test_every_move_refuses_a_non_positive_word_as_not_positive(g2):
+    w = g2.word([("c1", -1), "c2"])
+    for move in (lambda: elementary_transformation(w, 1, "R"),
+                 lambda: simultaneous_conjugation(w, g2.word(["c1"])),
+                 lambda: rotate(w, 1),
+                 lambda: substitute(g2, w, g2.relations["LA"], 1, "fwd")):
+        with pytest.raises(NotPositive, match="^move requires a positive word$"):
+            move()
