@@ -11,6 +11,9 @@ from importlib import resources
 
 from .errors import (
     DimensionError,
+    InvalidCensus,
+    InvalidDeclaration,
+    InvalidGroup,
     InvalidMove,
     InvalidRelation,
     InvalidSearch,
@@ -20,6 +23,7 @@ from .errors import (
     MoveOutOfRange,
     NotARelator,
     NotPositive,
+    NotRealizable,
     NotSymplectic,
     ParseError,
     ScriptError,

@@ -59,6 +59,30 @@ class MoveOutOfRange(McgError, IndexError):
     the type it raised before it had its own."""
 
 
+class InvalidDeclaration(McgError, ValueError):
+    """A system declaration the registry refuses: a genus below 2, a
+    name declared twice, a pair that names one curve twice, or a zero
+    conjugator exponent.  Also a ValueError, the type it raised before it
+    had its own."""
+
+
+class InvalidCensus(McgError, ValueError):
+    """A census the hyperelliptic closed form cannot read: a genus below
+    2, a negative count, or a separating type outside 1..g/2.  Also a
+    ValueError, the type it raised before it had its own."""
+
+
+class NotRealizable(McgError, ValueError):
+    """An (e, sigma) pair no simply connected closed 4-manifold has.
+    Also a ValueError, the type it raised before it had its own."""
+
+
+class InvalidGroup(McgError, ValueError):
+    """Abelian group data with a negative rank, a torsion coefficient
+    below 2, or coefficients that do not form a divisibility chain.  Also
+    a ValueError, the type it raised before it had its own."""
+
+
 class SubstMismatch(McgError):
     """The word does not match the relation side at the given position."""
 

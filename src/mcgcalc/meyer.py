@@ -32,11 +32,11 @@ and a symmetric signature.  The general ``meyer_tau`` keeps the
 definition and is the oracle the tests hold the fast path to.
 
 The sum is additive over relator blocks: once the partial product is
-back at I, the sum goes on as if the word started there.  Each tau
-depends only on the prefix and the letter's (u, s), so a block of
-steps read again from I gives the same taus and ends at I again.
+back at I or at -I, the sum goes on as if the word started there, as
+the cocycle identity telescopes and tau vanishes on {I, -I}^2.
 ``local_signature`` therefore reads a run of identical blocks, such as
-a fiber sum w^k, once and adds its value k times.
+a fiber sum w^k or the two halves of a hyperelliptic relator, once and
+adds its value for each repeat.
 
 Everything here is exact integer arithmetic: kernels come from
 unimodular column reduction, the solve from fraction-free elimination
@@ -54,7 +54,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from . import symplectic as sp
-from .errors import NotARelator, NotSymplectic
+from .errors import InvalidCensus, NotARelator, NotSymplectic
 from .words import Word, _check_in_system
 
 Mat = sp.Mat
@@ -251,18 +251,33 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
     table of a word with no opaque letter.  A null-homologous step counts
     -1 and keeps the prefix, and a nonzero step costs one
     ``_transvection_tau`` and one rank-1 update of the prefix, made in
-    place on its rows by ``symplectic._twist_rows``.  A run of
-    identical relator blocks costs one block: each time the prefix is
-    back at I, the steps read since the last I point are a block, and
-    while the next steps repeat it, its value is added and the walk
-    jumps past it.  This is exact, because each tau depends only on the
-    prefix and the step, so the same steps read from I give the same
-    taus and end at I again.  Each I point compares at most the block
-    just read, so the checks cost O(n) in all.
+    place on its rows by ``symplectic._twist_rows``.
+
+    A run of identical blocks costs one block.  For a block
+    B = T_1 ... T_m with product P_B and partial products P_j, read
+    from any prefix Z, Meyer's cocycle identity
+    tau(A, B) + tau(AB, C) = tau(A, BC) + tau(B, C) (W. Meyer, "Die
+    Signatur von Flaechenbuendeln", Math. Ann. 201, 1973) telescopes to
+
+        sum_j tau(Z P_{j-1}, T_j) = sigma_loc(B) + tau(Z, P_B),
+
+    and a null-homologous letter counts -1 either way.  tau vanishes on
+    all four pairs of {I, -I}, so a block read between two central
+    points, where the prefix is I or -I, has the same value read from
+    I or from -I, and each repeat adds that value and multiplies the
+    prefix by P_B = +-I.  So at each central point the steps read since
+    the last one are a block, and while the next steps repeat it, its
+    value is added, the prefix's sign moves with P_B and the walk jumps
+    past it.  A hyperelliptic relator such as
+    (c1 ... c2g c2g+1^2 c2g ... c1)^2, whose half acts as -I, reads its
+    half once.  Each central point compares at most the block just
+    read, so the checks cost O(n) in all.
     """
     identity = [list(row) for row in sp.mat_identity(2 * system.genus)]
+    negative = [[-x for x in row] for row in identity]
     prefix = [list(row) for row in identity]
     total = mark_total = mark = i = 0
+    mark_sign = 1
     while i < len(steps):
         step = steps[i]
         i += 1
@@ -271,12 +286,16 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
             sp._twist_rows(prefix, (step,))
         else:
             total -= 1
-        if prefix == identity:
-            block, value = steps[mark:i], total - mark_total
+        sign = 1 if prefix == identity else -1 if prefix == negative else 0
+        if sign:
+            block, value, flip = steps[mark:i], total - mark_total, sign * mark_sign
             while steps[i:i + len(block)] == block:
                 i += len(block)
                 total += value
-            mark, mark_total = i, total
+                sign *= flip
+            if sign != prefix[0][0]:
+                prefix = [list(row) for row in (identity if sign == 1 else negative)]
+            mark, mark_total, mark_sign = i, total, sign
     return total, tuple(tuple(row) for row in prefix)
 
 
@@ -311,10 +330,10 @@ def hyperelliptic_signature(g: int, n0: int, nh: Mapping[int, int] | None = None
     value means the census cannot come from a hyperelliptic fibration.
     """
     if g < 2 or n0 < 0:
-        raise ValueError("need g >= 2 and nonnegative counts")
+        raise InvalidCensus("need g >= 2 and nonnegative counts")
     total = Fraction(-(g + 1) * n0, 2 * g + 1)
     for h, count in (nh or {}).items():
         if not (1 <= h <= g // 2) or count < 0:
-            raise ValueError(f"bad separating census entry h={h}, count={count}")
+            raise InvalidCensus(f"bad separating census entry h={h}, count={count}")
         total += (Fraction(4 * h * (g - h), 2 * g + 1) - 1) * count
     return total

@@ -129,7 +129,6 @@ class _Tokens:
 # a token is a name exactly when its first character may start one: no
 # token is empty, and the tokenizer's first alternative reads whole names
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_INT = re.compile(r"-?\d+$")
 _BASIS = re.compile(r"([ab])(\d+)$")
 
 # a plain atom's name, or a conjugated atom's tokens from "[" through its
@@ -152,10 +151,13 @@ def _name(toks: _Tokens) -> str:
 def _int(tok: Optional[str], line: int) -> Optional[int]:
     """The integer a token spells, or None when it spells none.
 
-    Python refuses to convert a numeral past its digit limit (4300 by
-    default); that is a ParseError on the token's line.
+    A token spells an integer when it is digits with an optional "-"
+    before them: ``isdecimal`` tests Unicode category Nd, the digits the
+    tokenizer reads as a number.  Python refuses to convert a numeral past
+    its digit limit (4300 by default); that is a ParseError on the
+    token's line.
     """
-    if tok is None or _INT.match(tok) is None:
+    if tok is None or not (tok[1:] if tok[:1] == "-" else tok).isdecimal():
         return None
     try:
         return int(tok)

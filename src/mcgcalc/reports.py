@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import meyer, symplectic as sp
-from .errors import NotARelator, NotPositive
+from .errors import NotARelator, NotPositive, NotRealizable
 from .moves import ReplayResult
 from .system import CurveSystem
 from .words import Word, _check_in_system, is_positive, push_forward_word
@@ -141,7 +141,7 @@ def betti_summary(e: int, sigma: int) -> tuple[int, int]:
     b2p, rem_p = divmod(e + sigma - 2, 2)
     b2m, rem_m = divmod(e - sigma - 2, 2)
     if rem_p or rem_m or b2p < 0 or b2m < 0:
-        raise ValueError(f"(e, sigma) = ({e}, {sigma}) is not realizable with b1 = 0")
+        raise NotRealizable(f"(e, sigma) = ({e}, {sigma}) is not realizable with b1 = 0")
     return b2p, b2m
 
 

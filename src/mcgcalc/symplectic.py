@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionError, UnknownClass
+from .errors import DimensionError, InvalidGroup, UnknownClass
 from .words import Letter, Word, _check_in_system
 
 Vec = tuple[int, ...]
@@ -181,10 +181,10 @@ class AbelianGroup:
 
     def __post_init__(self):
         if self.rank < 0 or any(t < 2 for t in self.torsion):
-            raise ValueError("bad abelian group data")
+            raise InvalidGroup("bad abelian group data")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
-                raise ValueError("torsion coefficients must form a divisibility chain")
+                raise InvalidGroup("torsion coefficients must form a divisibility chain")
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import symplectic as sp
 from .errors import (
     DimensionError,
+    InvalidDeclaration,
     InvalidRelation,
     InvalidSearch,
     MalformedRelation,
@@ -62,7 +63,7 @@ class CurveSystem:
 
     def __init__(self, genus: int):
         if genus < 2:
-            raise ValueError("genus must be at least 2")
+            raise InvalidDeclaration("genus must be at least 2")
         self.genus = genus
         self._curves: dict[str, Optional[Vec]] = {}
         self._decl_index: dict[str, int] = {}
@@ -83,7 +84,7 @@ class CurveSystem:
 
     def add_curve(self, name: str, cls: Optional[Sequence[int]]) -> None:
         if name in self._curves:
-            raise ValueError(f"curve {name!r} already declared")
+            raise InvalidDeclaration(f"curve {name!r} already declared")
         if cls is not None:
             cls = tuple(map(int, cls))
             if len(cls) != 2 * self.genus:
@@ -105,19 +106,19 @@ class CurveSystem:
         self._require(a)
         self._require(b)
         if a == b:
-            raise ValueError(f"{kind} pair must name two distinct curves, got {a!r}")
+            raise InvalidDeclaration(f"{kind} pair must name two distinct curves, got {a!r}")
         facts.setdefault(a, set()).add(b)
         facts.setdefault(b, set()).add(a)
 
     def add_septype(self, name: str, h: int) -> None:
         self._require(name)
         if name in self.septype:
-            raise ValueError(f"septype {name!r} already declared")
+            raise InvalidDeclaration(f"septype {name!r} already declared")
         self.septype[name] = int(h)
 
     def add_relation(self, decl: RelationDecl) -> None:
         if decl.name in self.relations:
-            raise ValueError(f"relation {decl.name!r} already declared")
+            raise InvalidDeclaration(f"relation {decl.name!r} already declared")
         try:
             ok = validate_relation_decl(self, decl)
         except UnknownClass:
@@ -132,7 +133,7 @@ class CurveSystem:
 
     def add_word(self, name: str, word: Word) -> None:
         if name in self.words:
-            raise ValueError(f"word {name!r} already declared")
+            raise InvalidDeclaration(f"word {name!r} already declared")
         self.words[name] = word
 
     # -- fact queries ---------------------------------------------------
@@ -181,7 +182,7 @@ class CurveSystem:
         pairs: list[tuple[str, int]] = []
         for name, exp in conj:
             if exp == 0:
-                raise ValueError("conjugator exponent must be nonzero")
+                raise InvalidDeclaration("conjugator exponent must be nonzero")
             pairs += [(name, 1 if exp > 0 else -1)] * abs(exp)
         return Letter(*normalize_conjugator(self, pairs, base))
 

@@ -1,8 +1,8 @@
 """A run of identical relator blocks costs one block.
 
 ``meyer.local_signature`` adds a block's value again, without reading
-it, whenever the steps after an I point of the prefix repeat the block
-that ended there.  The per-letter sum in ``tests/local_signature_oracle``
+it, whenever the steps after an I or -I point of the prefix repeat the
+block that ended there.  The per-letter sum in ``tests/local_signature_oracle``
 is the oracle: the two must agree on (sigma, product) and on the first
 opaque letter, and a spy on ``_transvection_tau`` pins the work saved.
 """
@@ -20,6 +20,7 @@ from mcgcalc.parser import parse_system, parse_word
 from mcgcalc.words import invert_word, push_forward_word
 from tests import local_signature_oracle as oracle
 from tests.test_incremental_replay import chain_text
+from tests.test_twist_product import hurwitz_walk
 
 
 def outcome(route, system, pairs):
@@ -172,40 +173,52 @@ def tau_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
 def test_fiber_sum_costs_one_block(tau_calls, g):
+    # the half of w acts as -I, so w, w^2 and w^4 each read that half once
     system = parse_system(chain_text(g))
     w = system.words["w"]
+    half = 2 * (2 * g + 1)
+    assert len(w) == 2 * half
     sigma = factorization_signature(system, w)
-    one = len(tau_calls)
-    assert one == len(w) == 4 * (2 * g + 1)
+    assert len(tau_calls) == half
     assert sigma == -4 * (g + 1)
-    assert factorization_signature(system, w * w * w * w) == 4 * sigma
-    assert len(tau_calls) == 2 * one
+    for k, wk in ((2, w * w), (4, w * w * w * w)):
+        del tau_calls[:]
+        assert factorization_signature(system, wk) == k * sigma
+        assert len(tau_calls) == half
 
 
 def interior_identity(system, pairs):
-    """True iff some proper nonempty prefix of the word acts as I."""
+    """True iff some proper nonempty prefix of the word acts as I or -I."""
     identity = prefix = sp.mat_identity(2 * system.genus)
+    negative = tuple(tuple(-x for x in row) for row in identity)
     for letter, sign in pairs[:-1]:
         prefix = sp.twist_product(prefix, ((sp.letter_class(system, letter), sign),))
-        if prefix == identity:
+        if prefix in (identity, negative):
             return True
     return False
 
 
 def test_word_without_interior_identity_reads_every_letter(tau_calls, g2, g3, rel_g2):
+    # rho and sigma3 pass through -I at their half; seeded Hurwitz walks
+    # of them do not
+    walked = {
+        "rho walked": (g2, hurwitz_walk(g2.words["rho"], 7000, 15)),
+        "sigma3 walked": (g3, hurwitz_walk(g3.words["sigma3"], 8000, 40)),
+    }
+    cases = [(system, name, w) for system in (g2, g3, rel_g2) for name, w in system.words.items()]
+    cases += [(system, name, w) for name, (system, w) in walked.items()]
     read = set()
-    for system in (g2, g3, rel_g2):
-        for name, w in system.words.items():
-            try:
-                classes = [sp.letter_class(system, letter) for letter, _ in w.letters]
-            except UnknownClass:
-                continue
-            if interior_identity(system, w.letters):
-                continue
-            del tau_calls[:]  # the oracle holds its own, uncounted reference
-            assert table_route(system, w.letters) == oracle.local_signature(system, w.letters)
-            assert len(tau_calls) == sum(1 for u in classes if any(u))
-            read.add(name)
-    assert {"rho", "sigma3"} <= read
+    for system, name, w in cases:
+        try:
+            classes = [sp.letter_class(system, letter) for letter, _ in w.letters]
+        except UnknownClass:
+            continue
+        if interior_identity(system, w.letters):
+            continue
+        del tau_calls[:]  # the oracle holds its own, uncounted reference
+        assert table_route(system, w.letters) == oracle.local_signature(system, w.letters)
+        assert len(tau_calls) == sum(1 for u in classes if any(u))
+        read.add(name)
+    assert {"chainrel", "rho walked", "sigma3 walked"} <= read

@@ -11,12 +11,14 @@ indentation, Unicode whitespace and Unicode digits, and are mutated
 token by token; fully arbitrary text is drawn as well.
 """
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcgcalc.errors import McgError, ParseError
-from mcgcalc.parser import parse_scripts, parse_system
+from mcgcalc.parser import _TOKEN, _int, parse_scripts, parse_system
 from tests import parser_oracle as oracle
 
 LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -180,3 +182,36 @@ def test_every_line_end_numbers_the_next_line(end):
 def test_errors_keep_their_fields(text, want):
     got = check_system(text)
     assert got[1:4] == want
+
+
+# the test _int made before it read digits with str.isdecimal
+INT_REGEX = re.compile(r"-?\d+$")
+
+
+def int_by_regex(tok):
+    return int(tok) if INT_REGEX.match(tok) else None
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(st.sampled_from(NOISE + SPACES + ["--1", "1_0", "-\u0663\u0968", "\u00b2", "_1"]))
+       .map("".join) | st.text())
+@example("- -- --1 1_0 -\u0663 \uff11\uff12 \u00b2 \u2155 007 -0")
+def test_int_reads_what_the_regex_read_on_every_token(text):
+    # every string the tokenizer can emit as a token, Unicode digits among them
+    for tok in _TOKEN.findall(text):
+        if tok:
+            assert _int(tok, 1) == int_by_regex(tok)
+
+
+@pytest.mark.parametrize("tok", ["-", "--1", "1_0", "-1_0", "\u00b2", "1-", "+1", " 1", "1 ",
+                                 "\u0663", "-\uff11\uff12", "0", "-0"])
+def test_int_agrees_with_the_regex_on_edge_strings(tok):
+    assert _int(tok, 1) == int_by_regex(tok)
+
+
+@pytest.mark.parametrize("digits", ["1" * 5000, "\u0663" * 5000])
+def test_int_past_the_digit_limit_is_a_parse_error(digits):
+    for tok in (digits, "-" + digits):
+        with pytest.raises(ParseError) as info:
+            _int(tok, 7)
+        assert str(info.value) == "line 7: integer of 5000 digits is too long"

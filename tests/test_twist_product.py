@@ -148,11 +148,17 @@ def test_signature_walk_and_twist_product_share_one_rank1_routine(g2, g3, monkey
         real(rows, twists)
 
     monkeypatch.setattr(sp, "_twist_rows", spy)
-    for system, w in ((g2, g2.words["rho"]), (g3, g3.words["sigma3"])):
+    # rho and sigma3 pass through -I at their half, which would skip it;
+    # these Hurwitz walks of them do not
+    walked = ((g2, hurwitz_walk(g2.words["rho"], 7000, 15)),
+              (g3, hurwitz_walk(g3.words["sigma3"], 8000, 40)))
+    for system, w in walked:
         identity = mat_identity(2 * system.genus)
+        negative = tuple(tuple(-x for x in row) for row in identity)
         steps = sp._known_classes(system, w.letters)
         partial = [twist_product(identity, steps[:k]) for k in range(1, len(steps))]
-        assert identity not in partial  # no block is skipped, so every step is read
+        # no prefix is I or -I, so no block is skipped and every step is read
+        assert identity not in partial and negative not in partial
         del applied[:]
         sigma, product = local_signature(system, steps)
         assert applied == [step for step in steps if any(step[0])]

@@ -1,7 +1,10 @@
-"""Positivity and move failures end as typed McgErrors.
+"""Positivity, move, declaration, census and group failures end as
+typed McgErrors.
 
-``NotPositive``, ``InvalidMove`` and ``MoveOutOfRange`` each derive
-from ``McgError`` and from the builtin they replace, with the messages
+``NotPositive``, ``InvalidMove``, ``MoveOutOfRange``,
+``InvalidDeclaration``, ``InvalidCensus``, ``NotRealizable`` and
+``InvalidGroup`` each derive from ``McgError`` and from the builtin
+they replace, with the messages
 of before, so ``except ValueError`` / ``except IndexError`` callers,
 ``replay_script``'s among them, keep working.  ``full_report`` refuses
 a non-positive word before it reads any class.
@@ -11,11 +14,16 @@ import pytest
 
 from mcgcalc import meyer, symplectic as sp
 from mcgcalc.errors import (
+    InvalidCensus,
+    InvalidDeclaration,
+    InvalidGroup,
     InvalidMove,
     McgError,
     MoveOutOfRange,
     NotARelator,
     NotPositive,
+    NotRealizable,
+    ParseError,
     ScriptError,
     UnknownClass,
 )
@@ -29,8 +37,10 @@ from mcgcalc.moves import (
     simultaneous_conjugation,
     substitute,
 )
-from mcgcalc.parser import parse_word
-from mcgcalc.reports import euler_characteristic, full_report
+from mcgcalc.parser import parse_system, parse_word
+from mcgcalc.reports import betti_summary, euler_characteristic, full_report
+from mcgcalc.symplectic import AbelianGroup
+from mcgcalc.system import CurveSystem, make_relation
 
 
 @pytest.fixture
@@ -124,3 +134,89 @@ def test_every_move_refuses_a_non_positive_word_as_not_positive(g2):
                  lambda: substitute(g2, w, g2.relations["LA"], 1, "fwd")):
         with pytest.raises(NotPositive, match="^move requires a positive word$"):
             move()
+
+
+@pytest.mark.parametrize("cls, builtin", [
+    (NotPositive, ValueError),
+    (InvalidMove, ValueError),
+    (MoveOutOfRange, IndexError),
+    (InvalidDeclaration, ValueError),
+    (InvalidCensus, ValueError),
+    (NotRealizable, ValueError),
+    (InvalidGroup, ValueError),
+])
+def test_each_typed_builtin_error_is_both(cls, builtin):
+    assert issubclass(cls, McgError) and issubclass(cls, builtin)
+
+
+def declared_twice(system):
+    c1 = system.word(["c1"])
+    return [
+        (lambda: CurveSystem(1), "genus must be at least 2"),
+        (lambda: system.add_curve("c1", (1, 0, 0, 0)), "curve 'c1' already declared"),
+        (lambda: system.add_disjoint("c1", "c1"), "disjoint pair must name two distinct curves, got 'c1'"),
+        (lambda: system.add_meet1("c2", "c2"), "meet1 pair must name two distinct curves, got 'c2'"),
+        (lambda: system.add_septype("k", 1), "septype 'k' already declared"),
+        (lambda: system.add_relation(
+            make_relation("braid", "BR", system.letter("c1"), system.letter("c2"))),
+         "relation 'BR' already declared"),
+        (lambda: system.add_word("w", c1), "word 'w' already declared"),
+        (lambda: system.letter("c2", [("c1", 0)]), "conjugator exponent must be nonzero"),
+    ]
+
+
+def test_declaration_errors_are_typed_with_their_builtin():
+    system = parse_system(
+        "genus 2\ncurve c1 = a1\ncurve c2 = b1\ncurve k = 0\nmeet1 c1 c2\n"
+        "septype k 1\nbraid BR : c1 c2\nword w = c1 c2\n")
+    for call, message in declared_twice(system):
+        with pytest.raises(InvalidDeclaration) as info:
+            call()
+        assert str(info.value) == message
+        assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("curve c1 = a1\ncurve c1 = b1\n", "line 4: curve 'c1' already declared"),
+    ("curve c1 = a1\ndisjoint c1 c1\n", "line 4: disjoint pair must name two distinct curves, got 'c1'"),
+    ("curve k = 0\nseptype k 1\nseptype k 1\n", "line 5: septype 'k' already declared"),
+    ("curve c1 = a1\nword w = c1\nword w = c1\n", "line 5: word 'w' already declared"),
+    ("curve c1 = a1\ncurve c2 = b1\nbraid B : c1 c2\nbraid B : c1 c2\n",
+     "line 6: relation 'B' already declared"),
+])
+def test_parser_still_turns_declaration_errors_into_parse_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_system("# a system\ngenus 2\n" + text)
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, InvalidDeclaration)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 0), "need g >= 2 and nonnegative counts"),
+    ((2, -1), "need g >= 2 and nonnegative counts"),
+    ((2, 1, {2: 1}), "bad separating census entry h=2, count=1"),
+    ((3, 1, {1: -1}), "bad separating census entry h=1, count=-1"),
+])
+def test_census_errors_are_typed_with_their_builtin(args, message):
+    with pytest.raises(InvalidCensus) as info:
+        meyer.hyperelliptic_signature(*args)
+    assert str(info.value) == message and isinstance(info.value, ValueError)
+
+
+def test_unrealizable_pair_is_typed_with_its_builtin():
+    with pytest.raises(NotRealizable) as info:
+        betti_summary(3, 0)
+    assert str(info.value) == "(e, sigma) = (3, 0) is not realizable with b1 = 0"
+    assert isinstance(info.value, ValueError)
+    assert betti_summary(8, -4) == (1, 5)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "bad abelian group data"),
+    ((0, (1,)), "bad abelian group data"),
+    ((0, (2, 3)), "torsion coefficients must form a divisibility chain"),
+])
+def test_group_errors_are_typed_with_their_builtin(args, message):
+    with pytest.raises(InvalidGroup) as info:
+        AbelianGroup(*args)
+    assert str(info.value) == message and isinstance(info.value, ValueError)
