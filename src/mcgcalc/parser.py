@@ -250,7 +250,12 @@ def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
     if start < len(seq) and seq[start] != "[":
         key, end = seq[start], start + 1
     else:
-        end = seq.index("]", start) + 2 if "]" in seq[start:] else len(seq)
+        # a search, not ``"]" in seq[start:]``: a slice per atom would
+        # copy the rest of the line, quadratic in a long line
+        try:
+            end = seq.index("]", start) + 2
+        except ValueError:
+            end = len(seq)
         key = tuple(seq[start:end])
     letter = memo.get(key)
     if letter is not None:

@@ -158,7 +158,12 @@ def rho_letter(system, letter: Letter, sign: int = 1) -> Mat:
 
 
 def rho_image(system, pairs: Iterable[tuple[Letter, int]]) -> Mat:
-    """Product of the (letter, sign) pairs, e.g. a Word: one rank-1 update per letter."""
+    """Product of the (letter, sign) pairs, e.g. a Word: one rank-1 update per letter.
+
+    A Word must belong to ``system``; other pairs are read as given.
+    """
+    if isinstance(pairs, Word):
+        _check_in_system(system, pairs)
     return twist_product(mat_identity(2 * system.genus), _known_classes(system, pairs))
 
 
@@ -168,7 +173,6 @@ def is_homological_relator(system, w: Word) -> bool:
     This is a necessary condition for w to be a relator of the mapping
     class group, not a sufficient one.
     """
-    _check_in_system(system, w)
     return rho_image(system, w) == mat_identity(2 * system.genus)
 
 
@@ -211,10 +215,14 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     ``a`` to a diagonal; one sweep then makes the diagonal a divisibility
     chain, since diag(x, y) ~ diag(gcd, lcm) (Cohen, A Course in
     Computational Algebraic Number Theory, 2.4).  U and V are not kept.
+    Rows of different lengths raise DimensionError.
     """
     d = [list(row) for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
+    for i, row in enumerate(d):
+        if len(row) != n:
+            raise DimensionError(f"row {i} has {len(row)} entries, expected {n}")
     # before step t, rows and columns 0..t-1 are zero off the diagonal,
     # so the operations of step t touch only the block d[t:][t:]
 

@@ -175,15 +175,21 @@ class CurveSystem:
             # a plain letter is its own normal form
             self._require(base)
             return Letter((), base)
-        # each distinct name once, base first, so the first undeclared
-        # curve is named
-        for name in dict.fromkeys([base, *(name for name, _ in conj)]):
-            self._require(name)
+        curves = self._curves
+        if base not in curves or not all(name in curves for name, _ in conj):
+            # each distinct name once, base first, so the first undeclared
+            # curve is named
+            for name in dict.fromkeys([base, *(name for name, _ in conj)]):
+                self._require(name)
         pairs: list[tuple[str, int]] = []
         for name, exp in conj:
             if exp == 0:
                 raise InvalidDeclaration("conjugator exponent must be nonzero")
-            pairs += [(name, 1 if exp > 0 else -1)] * abs(exp)
+            sign = 1 if exp > 0 else -1
+            if exp == sign:
+                pairs.append((name, sign))
+            else:
+                pairs += [(name, sign)] * abs(exp)
         return Letter(*normalize_conjugator(self, pairs, base))
 
     def word(self, letters: Iterable) -> Word:
@@ -218,12 +224,30 @@ class CurveSystem:
             return self._classes[letter]
         except KeyError:
             pass
-        v = self.class_of(letter.base)
-        for name, sign in reversed(letter.conj):
-            if v is None:
-                break
-            a = self.class_of(name)
-            v = None if a is None else sp.transvect(v, a, sign)
+        curves = self._curves
+        try:
+            v = curves[letter.base]
+            if v is not None:
+                v = list(v)
+                n = len(v)
+                for name, sign in reversed(letter.conj):
+                    a = curves[name]
+                    if a is None:
+                        v = None
+                        break
+                    # T_a^sign(v) = v + sign <v, a> a, in place
+                    c = 0
+                    for i in range(0, n, 2):
+                        c += v[i] * a[i + 1] - v[i + 1] * a[i]
+                    if c:
+                        c *= sign
+                        for i, x in enumerate(a):
+                            if x:
+                                v[i] += c * x
+                else:
+                    v = tuple(v)
+        except KeyError as exc:
+            raise UnknownCurve(f"curve {exc.args[0]!r} is not declared") from None
         self._classes[letter] = v
         return v
 

@@ -17,6 +17,32 @@ Letters are kept in a normal form computed from declared facts only:
   t_a(b) = t_b^-1(a) when the rewrite cancels into the conjugator;
 * adjacent commuting twists are sorted into a fixed order.
 
+The normal form is the fixed point of these rules, with the sort an
+insertion sort of adjacent swaps: a twist moves left only past a
+disjoint twist of an earlier-declared curve.  It is not a trace normal
+form of the graph group, and it depends on the order of commuting
+twists: in ``genus2_chain.mcg``, c4 is disjoint from c1 and from del, so
+``[c1 del c4]c3`` and ``[c4 c1 del]c3`` are one curve, but c4 is declared
+after c1 and before del, so neither form sorts into the other.
+
+One pass runs free reduction, the tail rules, the drop scan and the
+sort, in that order.  After a drop, and after a sort that moved a twist,
+the loop restarts only when the result has an adjacent inverse pair,
+ends in a twist along the base, or ends in the meet-once pattern
+(``_settled``); otherwise the pass that would follow changes nothing:
+
+* the drop scan cannot fire twice running, since every kept twist still
+  has its blocker to the right (the base, or a kept twist it meets);
+* the sort swaps only disjoint twists of different names, so those
+  blockers stay to the right; a twist along the base cannot become
+  last, since the twist it passed would have been dropped; and sorting
+  a sorted list moves nothing, since each twist lands right after a
+  twist that blocks it.
+
+So the letter is the one the pass loop that always verified with one
+more pass gives (kept as the oracle in ``tests/normalize_oracle.py``),
+by construction rather than by confluence.
+
 Equality of normal forms is sound for curve equality but not complete;
 the homological class is the refuting certificate (different class means
 different curve).  All values are immutable and all operations pure.
@@ -53,6 +79,8 @@ def normalize_conjugator(system, pairs: Iterable[Pair], base: str) -> tuple[tupl
     """Bring a flattened conjugator over ``base`` into normal form.
 
     Returns the reduced conjugator and the (possibly rewritten) base.
+    After a drop or a sort the loop restarts only when ``_settled`` says
+    an earlier rule could fire again (see the module docstring).
     """
     disjoint_of = system._disjoint_of
     conj = list(pairs)
@@ -83,12 +111,23 @@ def normalize_conjugator(system, pairs: Iterable[Pair], base: str) -> tuple[tupl
                 support.add(name)
         if len(kept) < len(conj):
             conj = kept[::-1]
-            continue
+            if not _settled(system, conj, base):
+                continue
         ordered = _sort_commuting(system, conj)
-        if ordered == conj:
-            return tuple(conj), base
+        if ordered == conj or _settled(system, ordered, base):
+            return tuple(ordered), base
         conj = ordered
     raise McgError("letter normalization did not stabilize")
+
+
+def _settled(system, conj: list[Pair], base: str) -> bool:
+    """True when neither free reduction nor a tail rule can fire on ``conj``."""
+    if conj:
+        name, sign = conj[-1]
+        if name == base or (len(conj) >= 2 and conj[-2] == (base, sign)
+                            and system.is_meet1(name, base)):
+            return False
+    return not any(a[0] == b[0] and a[1] != b[1] for a, b in zip(conj, conj[1:]))
 
 
 def _sort_commuting(system, conj: list[Pair]) -> list[Pair]:
@@ -102,16 +141,19 @@ def _sort_commuting(system, conj: list[Pair]) -> list[Pair]:
     names) per twist, and a linked list places the twist there in O(1).
     """
     disjoint_of = system._disjoint_of
+    decl_index = system._decl_index
     head = None  # the placed twists as a linked list of [twist, next] nodes
     last: dict[str, list] = {}  # name -> node of its rightmost placed twist
     order: list[str] = []  # the names in ``last``, in the order of their nodes
     for twist in conj:
         name = twist[0]
-        disjoint = disjoint_of.get(name, _NO_NAMES)
         k = len(order)
-        while k and order[k - 1] in disjoint and \
-                system.decl_index(order[k - 1]) < system.decl_index(name):
-            k -= 1
+        disjoint = disjoint_of.get(name)
+        if disjoint:
+            # only a declared curve has facts, so its index is there
+            rank = decl_index[name]
+            while k and order[k - 1] in disjoint and decl_index[order[k - 1]] < rank:
+                k -= 1
         if k:
             blocker = last[order[k - 1]]
             node = blocker[1] = [twist, blocker[1]]
