@@ -10,6 +10,7 @@ signature, H1 of the total space, and the singular fiber census.
 from importlib import resources
 
 from .errors import (
+    ConjugatorTooLong,
     DimensionError,
     InvalidCensus,
     InvalidDeclaration,

@@ -54,6 +54,13 @@ class InvalidMove(McgError, ValueError):
     Also a ValueError, the type it raised before it had its own."""
 
 
+class ConjugatorTooLong(McgError, ValueError):
+    """A move would build a flattened conjugator of more than
+    ``words.MAX_WORD_LETTERS`` twists, the most the parser admits; it is
+    refused before it is normalized.  Also a ValueError, so a script step
+    that builds one fails like any other step."""
+
+
 class MoveOutOfRange(McgError, IndexError):
     """A move's index or position outside its word.  Also an IndexError,
     the type it raised before it had its own."""

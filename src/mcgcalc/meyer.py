@@ -26,9 +26,9 @@ q(z, z') = -s psi(z) phi(z'), the symmetrized form is
   form is -2s(1 + s<x0,v>) phi^2: tau(A, T_v^s) = -sign(s + <y0, v>),
   since <x0, v> = <y0, v> + <v, v>, whatever y0 is chosen.
 
-So tau(A, T_v^s) is one of -1, 0, 1 and costs one exact linear solve
-(fraction-free elimination, ``_transvection_tau``) instead of a kernel
-and a symmetric signature.  The general ``meyer_tau`` keeps the
+So tau(A, T_v^s) is one of -1, 0, 1 and costs at most one exact linear
+solve (fraction-free elimination, ``_transvection_tau``) instead of a
+kernel and a symmetric signature.  The general ``meyer_tau`` keeps the
 definition and is the oracle the tests hold the fast path to.
 
 The sum is additive over relator blocks: once the partial product is
@@ -37,6 +37,36 @@ the cocycle identity telescopes and tau vanishes on {I, -I}^2.
 ``local_signature`` therefore reads a run of identical blocks, such as
 a fiber sum w^k or the two halves of a hyperelliptic relator, once and
 adds its value for each repeat.
+
+Most letters need no solve at all.  In a walk from I with prefix
+P_k = T_{u_1}^{s_1} ... T_{u_k}^{s_k}, im(P_k - I) lies in
+U_k = span(u_1 .. u_k), by induction on
+P_k - I = (P_{k-1} - I) T_k + (T_k - I), as T_k maps U_k into itself.
+So a class u_{k+1} outside U_k is not in im(P_k - I), and tau is 0 by
+the first case above.  The walk keeps a fraction-free echelon basis of
+U_k, at O(2g r) per step for rank r, and solves only for a class
+inside it; once r = 2g every class is inside, and the basis goes.
+
+To keep that skip going, a block between central points is read as two
+walks from I: the second starts after the step where the first walk's
+span reaches rank 2g (if the block has not closed there), and A is the
+first walk's product.  The block closes when the second walk's prefix
+is +-A^-1, and by the cocycle identity its value is the two walks' sums
+plus tau(A, +-A^-1):
+
+* tau(A, A^-1) = 0.  V is cut out by (A^-1 - I)(x + y) = 0, so
+  k = x + y lies in ker(A - I) and q = -<k, (A^-1 - I)y'>, which is 0
+  since <k, A^-1 y'> = <A k, y'> = <k, y'>.
+* tau(A, -A^-1) is the signature of <p, (A^-1 - A)p'> on Q^2g.  V is
+  cut out by A^-1(x - y) = x + y, so it is parametrized by p = x + y,
+  with x - y = A p, and q = <p, (I + A^-1)(I - A)p'> / 2
+  = <p, (A^-1 - A)p'> / 2, already symmetric; ``signature_of_symmetric``
+  reads it.
+
+Steps after the last central point form no block, and tau(Z, P) need
+not vanish there: a walk from I gives their true sum only when their
+prefix is I and the walk did not split.  Otherwise they are read again
+as one walk from the true prefix, with the span skip only from I.
 
 Everything here is exact integer arithmetic: kernels come from
 unimodular column reduction, the solve from fraction-free elimination
@@ -249,13 +279,16 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
 
     rho(v_k) = T_u^s, so the steps are the letters' (u, s), the class
     table of a word with no opaque letter.  A null-homologous step counts
-    -1 and keeps the prefix, and a nonzero step costs one
-    ``_transvection_tau`` and one rank-1 update of the prefix, made in
-    place on its rows by ``symplectic._twist_rows``.
+    -1 and keeps the prefix; a nonzero step costs one rank-1 update of
+    the prefix, made in place on its rows by ``symplectic._twist_rows``,
+    and one ``_transvection_tau`` only when its class lies in the span
+    of its walk's classes so far (see the module docstring).
 
-    A run of identical blocks costs one block.  For a block
-    B = T_1 ... T_m with product P_B and partial products P_j, read
-    from any prefix Z, Meyer's cocycle identity
+    The steps are read in blocks between central points, where the
+    prefix is I or -I, each block as one or two walks from I
+    (``_read_block``).  A run of identical blocks costs one block.  For
+    a block B = T_1 ... T_m with product P_B and partial products P_j,
+    read from any prefix Z, Meyer's cocycle identity
     tau(A, B) + tau(AB, C) = tau(A, BC) + tau(B, C) (W. Meyer, "Die
     Signatur von Flaechenbuendeln", Math. Ann. 201, 1973) telescopes to
 
@@ -263,40 +296,112 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
 
     and a null-homologous letter counts -1 either way.  tau vanishes on
     all four pairs of {I, -I}, so a block read between two central
-    points, where the prefix is I or -I, has the same value read from
-    I or from -I, and each repeat adds that value and multiplies the
-    prefix by P_B = +-I.  So at each central point the steps read since
-    the last one are a block, and while the next steps repeat it, its
-    value is added, the prefix's sign moves with P_B and the walk jumps
-    past it.  A hyperelliptic relator such as
+    points has the same value read from I or from -I, and each repeat
+    adds that value and multiplies the prefix by P_B = +-I.  So while
+    the steps after a central point repeat the block that ended there,
+    its value is added, the prefix's sign moves with P_B and the walk
+    jumps past it.  A hyperelliptic relator such as
     (c1 ... c2g c2g+1^2 c2g ... c1)^2, whose half acts as -I, reads its
     half once.  Each central point compares at most the block just
     read, so the checks cost O(n) in all.
+
+    The steps after the last central point are no block, and tau(Z, P)
+    need not vanish there: unless they were read as one walk from a
+    true prefix of I, they are read again, as one walk from their true
+    prefix, I or -I, with the span skip only from I.
     """
-    identity = [list(row) for row in sp.mat_identity(2 * system.genus)]
-    negative = [[-x for x in row] for row in identity]
-    prefix = [list(row) for row in identity]
-    total = mark_total = mark = i = 0
-    mark_sign = 1
+    n = 2 * system.genus
+    total = mark = 0
+    sign = 1  # the prefix before steps[mark] is sign * I
+    while mark < len(steps):
+        value, i, close, prefix, split = _read_block(steps, mark, n, 1, True)
+        if not close:
+            if split or sign == -1:
+                value, _, _, prefix, _ = _read_block(steps, mark, n, sign, False)
+            return total + value, tuple(map(tuple, prefix))
+        total += value
+        block = steps[mark:i]
+        sign *= close
+        while steps[i:i + len(block)] == block:
+            i += len(block)
+            total += value
+            sign *= close
+        mark = i
+    return total, tuple(map(tuple, _scaled(sp.mat_identity(n), sign)))
+
+
+def _read_block(steps, i: int, n: int, sign: int, split: bool):
+    """Read steps[i:] from the prefix sign * I up to the first central point.
+
+    Returns (value, end, close, prefix, split): the steps' Meyer sum
+    from sign * I, the index after the central point, the sign of the
+    product there (0 when the steps end first), the last walk's prefix
+    rows, and whether the block was split into two walks.  With
+    ``split``, the first walk from I hands over to a second walk from I
+    at the step where its span reaches rank 2g, and the block closes
+    when the second prefix is +-A^-1, for A the first walk's product;
+    the value then adds tau(A, +-A^-1) (see the module docstring).
+    """
+    identity = sp.mat_identity(n)
+    prefix = _scaled(identity, sign)
+    ends = _scaled(identity, 1), _scaled(identity, -1)
+    basis = [] if sign == 1 else None  # the walk's span, until it is all of Q^2g
+    first = None  # the first walk's product A, once the block is split
+    value = 0
     while i < len(steps):
         step = steps[i]
         i += 1
         if any(step[0]):
-            total += _transvection_tau(prefix, *step)
+            if basis is None or not _extend_span(basis, step[0]):
+                value += _transvection_tau(prefix, *step)
             sp._twist_rows(prefix, (step,))
         else:
-            total -= 1
-        sign = 1 if prefix == identity else -1 if prefix == negative else 0
-        if sign:
-            block, value, flip = steps[mark:i], total - mark_total, sign * mark_sign
-            while steps[i:i + len(block)] == block:
-                i += len(block)
-                total += value
-                sign *= flip
-            if sign != prefix[0][0]:
-                prefix = [list(row) for row in (identity if sign == 1 else negative)]
-            mark, mark_total, mark_sign = i, total, sign
-    return total, tuple(tuple(row) for row in prefix)
+            value -= 1
+        close = 1 if prefix == ends[0] else -1 if prefix == ends[1] else 0
+        if close:
+            if first is not None and close == -1:
+                # tau(A, -A^-1): the form <p, (A^-1 - A)p'> has the matrix
+                # J A^-1 - J A = -(K + K^T) for K = J A, as J A^-1 = A^T J;
+                # row r of K is A[r + 1] for even r, -A[r - 1] for odd r
+                k = [first[r ^ 1] if r % 2 else [-x for x in first[r ^ 1]] for r in range(n)]
+                value += signature_of_symmetric(
+                    [[x + y for x, y in zip(row, col)] for row, col in zip(k, zip(*k))])
+            return value, i, close, prefix, first is not None
+        if basis is not None and len(basis) == n:
+            basis = None
+            if split:
+                split = False
+                first = prefix
+                inverse = sp.symplectic_inverse(first)
+                ends = _scaled(inverse, 1), _scaled(inverse, -1)
+                prefix = _scaled(identity, 1)
+                basis = []
+    return value, i, 0, prefix, first is not None
+
+
+def _extend_span(basis: list[tuple[int, list[int]]], u: Sequence[int]) -> bool:
+    """Add u to the echelon rows of a span, or return False if it lies in it.
+
+    Each row (p, b) has b[p] != 0 and is zero at every earlier row's
+    pivot, so clearing u at the pivots in order leaves 0 exactly when u
+    is in the span.  Rows stay fraction-free, divided by their content.
+    """
+    for p, row in basis:
+        f = u[p]
+        if f:
+            b = row[p]
+            u = [b * x - f * y for x, y in zip(u, row)]
+    for p, x in enumerate(u):
+        if x:
+            g = gcd(*u)
+            basis.append((p, [y // g for y in u]))
+            return True
+    return False
+
+
+def _scaled(m, c: int) -> list[list[int]]:
+    """c M as row lists."""
+    return [[c * x for x in row] for row in m]
 
 
 def factorization_signature(system, w: Word) -> int:

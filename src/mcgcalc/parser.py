@@ -45,12 +45,7 @@ from typing import Iterator, Optional
 from .errors import InvalidSystem, ParseError, UnknownCurve
 from .moves import Conj, DerivationScript, Elem, Rotate, Subst
 from .system import RELATION_KINDS, CurveSystem, make_relation, validate_system
-from .words import Letter, Word
-
-# Most letters a word expression may expand to.  Powers expand at parse
-# time, so ``c1^1000000000`` would otherwise allocate gigabytes; the
-# length is checked before anything is expanded.
-MAX_WORD_LETTERS = 100_000
+from .words import MAX_WORD_LETTERS, Letter, Word
 
 # Largest genus a system may declare.  Every class is a vector of 2g
 # integers and every image a 2g x 2g matrix, so a genus of 10^10 would

@@ -142,6 +142,15 @@ class CurveSystem:
         if name not in self._curves:
             raise UnknownCurve(f"curve {name!r} is not declared")
 
+    def _require_letter(self, base: str, conj: Sequence[tuple[str, int]]) -> None:
+        """Refuse a letter with an undeclared curve, in one membership pass;
+        each distinct name is then walked once, base first, so the first
+        undeclared curve is named."""
+        curves = self._curves
+        if base not in curves or conj and not all(name in curves for name, _ in conj):
+            for name in dict.fromkeys([base, *(name for name, _ in conj)]):
+                self._require(name)
+
     @property
     def curve_names(self) -> tuple[str, ...]:
         return tuple(self._curves)
@@ -175,12 +184,7 @@ class CurveSystem:
             # a plain letter is its own normal form
             self._require(base)
             return Letter((), base)
-        curves = self._curves
-        if base not in curves or not all(name in curves for name, _ in conj):
-            # each distinct name once, base first, so the first undeclared
-            # curve is named
-            for name in dict.fromkeys([base, *(name for name, _ in conj)]):
-                self._require(name)
+        self._require_letter(base, conj)
         pairs: list[tuple[str, int]] = []
         for name, exp in conj:
             if exp == 0:

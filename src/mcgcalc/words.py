@@ -54,10 +54,18 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Iterator, Tuple, TypeVar
 
-from .errors import McgError, SystemMismatch
+from .errors import ConjugatorTooLong, McgError, SystemMismatch
 
 Pair = Tuple[str, int]
 T = TypeVar("T")
+
+# Most letters a word expression may expand to, and most twists a
+# conjugator may have.  Powers expand at parse time, so ``c1^1000000000``
+# would otherwise allocate gigabytes, and each move that conjugates a
+# letter lengthens its conjugator, which normalization then walks: the
+# parser checks the length before it expands anything, and the moves
+# before they normalize.
+MAX_WORD_LETTERS = 100_000
 
 
 def _free_reduce_pairs(pairs: Iterable[tuple[T, int]]) -> list[tuple[T, int]]:
@@ -294,8 +302,14 @@ def flatten_word(w: Word) -> tuple[Pair, ...]:
 
 
 def twist_conjugate_letter(W: Word, c: Letter) -> Letter:
-    """The letter ``[W]c``; satisfies [W1]([W2]c) = [W1 W2]c."""
-    conj, base = normalize_conjugator(W.system, flatten_word(W) + c.conj, c.base)
+    """The letter ``[W]c``; satisfies [W1]([W2]c) = [W1 W2]c.
+
+    Before anything is normalized, UnknownCurve names the first curve of
+    c, base first, that W's system does not declare, and
+    ConjugatorTooLong refuses a conjugator past ``MAX_WORD_LETTERS``.
+    """
+    W.system._require_letter(c.base, c.conj)
+    conj, base = normalize_conjugator(W.system, _conjugator(flatten_word(W), c), c.base)
     return Letter(conj, base)
 
 
@@ -303,6 +317,8 @@ def push_forward_word(W: Word, V: Word) -> Word:
     """Apply ``[W]`` to every letter of V (a free-group homomorphism).
 
     W is flattened once, and each distinct letter of V is normalized once.
+    V must belong to W's system (SystemMismatch), and no conjugator may
+    pass ``MAX_WORD_LETTERS`` (ConjugatorTooLong, before normalizing).
     """
     _check_in_system(W.system, V)
     flat = flatten_word(W)
@@ -311,9 +327,18 @@ def push_forward_word(W: Word, V: Word) -> Word:
     for l, s in V.letters:
         m = image.get(l)
         if m is None:
-            m = image[l] = Letter(*normalize_conjugator(W.system, flat + l.conj, l.base))
+            m = image[l] = Letter(*normalize_conjugator(W.system, _conjugator(flat, l), l.base))
         letters.append((m, s))
     return Word(W.system, letters)
+
+
+def _conjugator(flat: tuple[Pair, ...], c: Letter) -> tuple[Pair, ...]:
+    """The flattened conjugator of [W]c, flat + c.conj for flat the twists
+    of W, refused past MAX_WORD_LETTERS twists."""
+    n = len(flat) + len(c.conj)
+    if n > MAX_WORD_LETTERS:
+        raise ConjugatorTooLong(f"conjugator of {n} twists expands past {MAX_WORD_LETTERS} twists")
+    return flat + c.conj
 
 
 def is_positive(w: Word) -> bool:
