@@ -84,8 +84,8 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from . import symplectic as sp
-from .errors import InvalidCensus, NotARelator, NotSymplectic
-from .words import Word, _check_in_system
+from .errors import InvalidCensus, NotARelator, NotPositive, NotSymplectic
+from .words import Word, _check_in_system, is_positive
 
 Mat = sp.Mat
 
@@ -412,11 +412,15 @@ def factorization_signature(system, w: Word) -> int:
     sum is calibrated so that the 20-letter genus-2 chain relator gives
     -12 and the 12-letter torus relator (ab)^6 gives -8 (both classical
     values); with that calibration tau(T_a, T_a) = -1 as constructed
-    above.  Raises UnknownClass at the first opaque letter, then
-    NotARelator when the homological image is not the identity (the
-    fibration would not close up over S^2).
+    above.  Raises NotPositive for a word with an inverse letter, before
+    any class is read (the walk would count every null-homologous letter
+    as -1 whatever its sign), then UnknownClass at the first opaque
+    letter, then NotARelator when the homological image is not the
+    identity (the fibration would not close up over S^2).
     """
     _check_in_system(system, w)
+    if not is_positive(w):
+        raise NotPositive("signature needs a positive word")
     return _relator_signature(system, sp._known_classes(system, w.letters))
 
 

@@ -25,11 +25,14 @@ identity tau(A, B) + tau(AB, C) = tau(A, BC) + tau(B, C) gives
 and tau(P, X_1...X_m) = tau(P, Y_1...Y_l).  So sigma moves by
 sigma_loc(Y) - sigma_loc(X), where sigma_loc is the window's own tau
 sum minus its null-homologous letters (``meyer.local_signature``),
-wherever the window sits.  For a substitution that is a constant of
-the relation and the direction (``relation_shift``, the signature of
-the relation in the sense of Endo-Nagami): +1 for a forward lantern,
-0 for braid and commute, +7 for a forward 2-chain, and the negative in
-reverse.  An elementary move (x, y) -> (y, [y^-1]x) shifts by
+wherever the window sits.  For a substitution X is the removed source
+side and Y the inserted target side, the two windows of class-table
+entries replay compares for its rho check, and it reads the shift and
+both products in the same two walks.  The shift depends only on the
+relation and the direction, and is the signature of the relation in
+the sense of Endo-Nagami: +1 for a forward lantern, 0 for braid and
+commute, +7 for a forward 2-chain, and the negative in reverse.  An
+elementary move (x, y) -> (y, [y^-1]x) shifts by
 tau(Y, Y^-1 X Y) - tau(X, Y) = 0, because tau is invariant under
 conjugation (here by Y) and symmetric, and T_y^-1 keeps a class zero
 or nonzero.  A simultaneous conjugation conjugates every P_k and
@@ -237,21 +240,6 @@ def find_sites(system: CurveSystem, w: Word, rel: RelationDecl) -> list[tuple[in
     return sorted(sites)
 
 
-def relation_shift(system: CurveSystem, rel: RelationDecl, direction: str) -> int:
-    """sigma(after) - sigma(before) for substituting rel in ``direction``.
-
-    sigma_loc(target side) - sigma_loc(source side), which by the
-    window argument in the module docstring does not depend on the word
-    or the position.  Raises UnknownClass for a relation with opaque
-    letters.
-    """
-    src, dst = _side(rel, direction)
-    return (
-        local_signature(system, sp._known_classes(system, [(l, 1) for l in dst]))[0]
-        - local_signature(system, sp._known_classes(system, [(l, 1) for l in src]))[0]
-    )
-
-
 @dataclass
 class StepRecord:
     """One replay step: the move, the word after it and what was checked.
@@ -301,9 +289,10 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
     letter classes are computable it must also be a homological
     relator.  The first computable word gets a full signature, which
     also checks rho = I.  After that each step compares the products of
-    the letter classes it removed and inserted, and moves sigma by 0 or
-    by the relation's shift (see the module docstring).  The first
-    failing step raises ScriptError with its index and move.
+    the letter classes it removed and inserted, and moves sigma by 0, or
+    for a substitution by sigma_loc(inserted) - sigma_loc(removed) (see
+    the module docstring).  The first failing step raises ScriptError
+    with its index and move.
     """
     if script.source not in system.words:
         raise ScriptError(0, "source", f"word {script.source!r} is not declared")
@@ -314,7 +303,6 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
     sigma = None if None in classes else _relator_signature(system, classes)
     result.sigma_initial = sigma
     computed = sigma is not None  # an earlier word had rho = I
-    shifts: dict[tuple[str, str], int] = {}
 
     for idx, move in enumerate(script.steps, start=1):
         n, rel = len(w.letters), None
@@ -354,15 +342,15 @@ def replay_script(system: CurveSystem, script: DerivationScript) -> ReplayResult
         if sigma is not None and None not in inserted:
             # rho(before) = I, so rho(w) = I iff the window keeps its
             # product, which is I when the window is the whole word
-            old = identity if stop - start == n else sp.twist_product(identity, removed)
-            if sp.twist_product(identity, inserted) != old:
+            if rel is None:  # elementary moves, conjugations and rotations shift by 0
+                shift, new = 0, sp.twist_product(identity, inserted)
+                old = identity if stop - start == n else sp.twist_product(identity, removed)
+            else:  # a substitution shifts by sigma_loc(inserted) - sigma_loc(removed)
+                shift, new = local_signature(system, inserted)
+                lost, old = local_signature(system, removed)
+                shift -= lost
+            if new != old:
                 raise ScriptError(idx, str(move), "homological image changed")
-            shift = 0  # elementary moves, conjugations and rotations
-            if rel is not None:
-                key = (rel.name, move.direction)
-                if key not in shifts:
-                    shifts[key] = relation_shift(system, rel, move.direction)
-                shift = shifts[key]
             record.sigma = sigma + shift
         elif None not in classes:
             # computable for the first time: one full signature

@@ -172,7 +172,7 @@ def full_report(system: CurveSystem, w: Word) -> InvariantReport:
         "sigma_mod16": sigma % 16,
         "sigma_divisible_by_16": sigma % 16 == 0,
     }
-    if census.class_unknown == 0 and census.sep_type_unknown == 0:
+    if census.sep_type_unknown == 0:
         hyp = meyer.hyperelliptic_signature(
             g, census.n0, {h: c for h, c in census.separating}
         )

@@ -78,12 +78,6 @@ def symplectic_inverse(m: Mat) -> Mat:
     )
 
 
-def transvect(v: Sequence[int], a: Sequence[int], sign: int = 1) -> Vec:
-    """Apply T_a^sign to v: v + sign * <v,a> a."""
-    c = sign * pairing(v, a)
-    return tuple(x + c * y for x, y in zip(v, a))
-
-
 def twist_product(m: Mat, twists: Iterable[tuple[Sequence[int], int]]) -> Mat:
     """M T_{v1}^{s1} ... T_{vk}^{sk} for the factors (v, s) in order."""
     rows = [list(row) for row in m]

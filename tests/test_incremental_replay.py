@@ -15,7 +15,7 @@ import random
 import pytest
 
 from mcgcalc import fixture_path
-from mcgcalc import moves, words
+from mcgcalc import moves, symplectic, words
 from mcgcalc.cli import run_command
 from mcgcalc.errors import (
     InvalidRelation,
@@ -36,7 +36,6 @@ from mcgcalc.moves import (
     Subst,
     elementary_transformation,
     find_sites,
-    relation_shift,
     replay_script,
     rotate,
     simultaneous_conjugation,
@@ -425,24 +424,59 @@ def script_words(system, script):
 
 
 def test_relation_shift_table(g2, g3, rel_g2, ex53):
-    seen = set()
+    # a substitution moves sigma by a constant of its relation and
+    # direction, at every computable site of every word; substituting
+    # back at the same site undoes it, so each site checks both directions
+    seen, declared = set(), set()
     for name, system in [("genus2_chain.mcg", g2), ("genus3_chain.mcg", g3), ("relations_g2.mcg", rel_g2)]:
         # ex53's words expose the sites of genus2_chain's relations
         script = ex53 if system is g2 else parse_scripts(SITE_SCRIPTS[name], system)["s"]
         words = list(system.words.values()) + script_words(system, script)
+        declared |= set(system.relations)
         for rel in system.relations.values():
-            assert relation_shift(system, rel, "fwd") == SHIFTS[rel.name]
-            assert relation_shift(system, rel, "rev") == -SHIFTS[rel.name]
             for w in words:
                 for position, direction in find_sites(system, w, rel):
                     after = substitute(system, w, rel, position, direction)
+                    back = "rev" if direction == "fwd" else "fwd"
+                    assert substitute(system, after, rel, position, back) == w
                     try:
                         delta = factorization_signature(system, after) - factorization_signature(system, w)
                     except UnknownClass:
                         continue  # ex52's words: opaque letters
-                    assert delta == relation_shift(system, rel, direction), (rel.name, position, direction)
-                    seen.add((rel.name, direction))
-    assert {name for name, _ in seen} == set(SHIFTS)
+                    shift = SHIFTS[rel.name] if direction == "fwd" else -SHIFTS[rel.name]
+                    assert delta == shift, (rel.name, position, direction)
+                    seen |= {(rel.name, direction), (rel.name, back)}
+    assert declared == set(SHIFTS)
+    assert seen == {(name, direction) for name in SHIFTS for direction in ("fwd", "rev")}
+
+
+@pytest.fixture
+def class_reads(monkeypatch):
+    """The number of class tables read with ``_known_classes``."""
+    calls = []
+    original = symplectic._known_classes
+
+    def counting(system, pairs):
+        calls.append(1)
+        return original(system, pairs)
+
+    monkeypatch.setattr(symplectic, "_known_classes", counting)
+    return calls
+
+
+def test_replay_reads_classes_only_while_loading(class_reads, capsys):
+    # loading checks the relations through _known_classes; replay reads
+    # its words' classes and its substitutions' shifts from the class
+    # table it keeps.  test_fixture_scripts_match_the_oracle holds each
+    # ex53 step's sigma to factorization_signature of the step's word
+    system = str(fixture_path("genus2_chain.mcg"))
+    counts = []
+    for argv in (["check", system], ["replay", system, str(fixture_path("ex53.script")), "--json"]):
+        class_reads.clear()
+        assert run_command(argv) == 0
+        counts.append(len(class_reads))
+    capsys.readouterr()
+    assert counts == [10, 10]
 
 
 # --- rendering --------------------------------------------------------------

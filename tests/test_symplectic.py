@@ -20,7 +20,6 @@ from mcgcalc.symplectic import (
     rho_image,
     smith_normal_form,
     symplectic_inverse,
-    transvect,
     transvection,
 )
 

@@ -6,8 +6,9 @@ typed McgErrors.
 ``InvalidGroup`` each derive from ``McgError`` and from the builtin
 they replace, with the messages
 of before, so ``except ValueError`` / ``except IndexError`` callers,
-``replay_script``'s among them, keep working.  ``full_report`` refuses
-a non-positive word before it reads any class.
+``replay_script``'s among them, keep working.  ``full_report`` and
+``factorization_signature`` refuse a non-positive word before they read
+any class.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from mcgcalc.errors import (
     NotRealizable,
     ParseError,
     ScriptError,
+    SystemMismatch,
     UnknownClass,
 )
 from mcgcalc.moves import (
@@ -78,6 +80,25 @@ def test_full_report_refuses_a_non_positive_relator_before_any_class(g2, spies):
     assert isinstance(info.value, ValueError)
     with pytest.raises(NotPositive):
         elementary_transformation(w, 1, "L")
+
+
+def test_factorization_signature_refuses_a_non_positive_word_before_any_class(g2, g3, spies):
+    # k is null-homologous, so k c1 k^-1 c1^-1 acts as I; the walk would
+    # count k and k^-1 as -1 each and return -2
+    w = g2.word(["k", "c1", ("k", -1), ("c1", -1)])
+    assert sp.is_homological_relator(g2, w)
+    spies.update(tau=0, classes=0)
+    with pytest.raises(NotPositive, match="^signature needs a positive word$") as info:
+        meyer.factorization_signature(g2, w)
+    assert isinstance(info.value, ValueError)
+    assert spies == {"tau": 0, "classes": 0}
+    # a word of another system is refused first, as by euler_characteristic
+    with pytest.raises(SystemMismatch):
+        meyer.factorization_signature(g3, w)
+    # an opaque inverse letter, which would raise UnknownClass on a positive word
+    with pytest.raises(NotPositive):
+        meyer.factorization_signature(g3, g3.word(["c1", ("x1", -1)]))
+    assert spies == {"tau": 0, "classes": 0}
 
 
 @pytest.mark.parametrize("text, before", [

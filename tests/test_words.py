@@ -232,7 +232,10 @@ def test_normal_form_preserves_class_up_to_sign(sys2):
     # normalization rewrites letters only along declared facts; curves
     # are unoriented, so the class survives up to the free sign choice
     # (T_v = T_{-v}, so no downstream invariant can see the difference)
-    from mcgcalc.symplectic import transvect
+    def transvect(v, a, sign):
+        """T_a^sign v = v + sign <v, a> a, for <a1, b1> = +1."""
+        c = sign * sum(v[i] * a[i + 1] - v[i + 1] * a[i] for i in range(0, len(v), 2))
+        return tuple(x + c * y for x, y in zip(v, a))
 
     rng = random.Random(31)
     for _ in range(200):
