@@ -7,11 +7,10 @@ associated Lefschetz fibrations: Euler characteristic, Meyer-cocycle
 signature, H1 of the total space, and the singular fiber census.
 """
 
-from importlib import resources
-
 from .errors import (
     ConjugatorTooLong,
     DimensionError,
+    FrozenRecord,
     InvalidCensus,
     InvalidDeclaration,
     InvalidGroup,
@@ -89,4 +88,8 @@ __version__ = "0.1.0"
 
 def fixture_path(name: str):
     """Path to a bundled fixture file, e.g. ``genus2_chain.mcg``."""
+    # imported here: no command reads a bundled fixture, and the import
+    # (with pathlib) costs more than most commands
+    from importlib import resources
+
     return resources.files(__package__) / "fixtures" / name

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .errors import (
@@ -27,6 +26,12 @@ from .parser import load_system, parse_scripts, read_source
 from .reports import full_report, substitution_delta_report
 from .system import solve_lantern_classes
 from .words import render_word
+
+
+def _print_json(doc: dict) -> None:
+    import json  # imported here: only --json output needs it
+
+    print(json.dumps(doc, indent=2))
 
 
 def _cmd_check(args) -> int:
@@ -60,7 +65,7 @@ def _cmd_invariants(args) -> int:
         return 1
     if args.json:
         doc = {"word": args.word, **report.as_dict()}
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         c = report.census
         sep = ", ".join(f"n{h}={cnt}" for h, cnt in c.separating) or "none"
@@ -110,7 +115,7 @@ def _cmd_replay(args) -> int:
             "sigma_final": result.sigma_final,
             **delta.as_dict(),
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         d_sig = "n/a" if delta.delta_sigma is None else f"{delta.delta_sigma:+d}"
         print(

@@ -90,6 +90,12 @@ class InvalidGroup(McgError, ValueError):
     a ValueError, the type it raised before it had its own."""
 
 
+class FrozenRecord(McgError, AttributeError):
+    """An assignment to, or a deletion of, a field of a frozen record: a
+    Letter, a move, a relation or a report.  Also an AttributeError, the
+    type a frozen dataclass raised when the records were dataclasses."""
+
+
 class SubstMismatch(McgError):
     """The word does not match the relation side at the given position."""
 

@@ -79,9 +79,8 @@ this.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Mapping, Sequence
 from math import gcd
-from typing import Mapping, Sequence
 
 from . import symplectic as sp
 from .errors import InvalidCensus, NotARelator, NotPositive, NotSymplectic
@@ -432,17 +431,24 @@ def _relator_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> in
     return sigma
 
 
-def hyperelliptic_signature(g: int, n0: int, nh: Mapping[int, int] | None = None) -> Fraction:
-    """Closed-form signature of a hyperelliptic fibration census.
+def hyperelliptic_signature(g: int, n0: int, nh: Mapping[int, int] | None = None):
+    """Closed-form signature of a hyperelliptic fibration census, a Fraction.
 
     -((g+1)/(2g+1)) n0 + sum_h (4h(g-h)/(2g+1) - 1) n_h.  A non-integer
     value means the census cannot come from a hyperelliptic fibration.
     """
+    from fractions import Fraction  # only this function needs a fraction
+
+    return Fraction(_hyperelliptic_numerator(g, n0, nh), 2 * g + 1)
+
+
+def _hyperelliptic_numerator(g: int, n0: int, nh: Mapping[int, int] | None = None) -> int:
+    """(2g+1) times ``hyperelliptic_signature(g, n0, nh)``, an integer."""
     if g < 2 or n0 < 0:
         raise InvalidCensus("need g >= 2 and nonnegative counts")
-    total = Fraction(-(g + 1) * n0, 2 * g + 1)
+    total = -(g + 1) * n0
     for h, count in (nh or {}).items():
         if not (1 <= h <= g // 2) or count < 0:
             raise InvalidCensus(f"bad separating census entry h={h}, count={count}")
-        total += (Fraction(4 * h * (g - h), 2 * g + 1) - 1) * count
+        total += (4 * h * (g - h) - (2 * g + 1)) * count
     return total

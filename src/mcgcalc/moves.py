@@ -47,9 +47,6 @@ compared with I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from . import symplectic as sp
 from .errors import (
     InvalidMove,
@@ -61,6 +58,7 @@ from .errors import (
     SubstMismatch,
 )
 from .meyer import _relator_signature, local_signature
+from .records import Frozen, Record, _setattr
 from .system import CurveSystem, RelationDecl
 from .words import (
     Word,
@@ -72,47 +70,55 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Elem:
-    index: int  # 1-based position of the left letter of the pair
-    direction: str  # "L" | "R"
+class Elem(Frozen):
+    __slots__ = __match_args__ = ("index", "direction")
+
+    def __init__(self, index: int, direction: str):
+        _setattr(self, "index", index)  # 1-based position of the left letter of the pair
+        _setattr(self, "direction", direction)  # "L" | "R"
 
     def __str__(self):
         return f"elem {self.index} {self.direction}"
 
 
-@dataclass(frozen=True)
-class Conj:
-    word: Word
+class Conj(Frozen):
+    __slots__ = __match_args__ = ("word",)
+
+    def __init__(self, word: Word):
+        _setattr(self, "word", word)
 
     def __str__(self):
         return f"conj {render_word(self.word)}"
 
 
-@dataclass(frozen=True)
-class Rotate:
-    k: int
+class Rotate(Frozen):
+    __slots__ = __match_args__ = ("k",)
+
+    def __init__(self, k: int):
+        _setattr(self, "k", k)
 
     def __str__(self):
         return f"rot {self.k}"
 
 
-@dataclass(frozen=True)
-class Subst:
-    relation: str
-    position: int
-    direction: str  # "fwd" | "rev"
+class Subst(Frozen):
+    __slots__ = __match_args__ = ("relation", "position", "direction")
+
+    def __init__(self, relation: str, position: int, direction: str):
+        _setattr(self, "relation", relation)
+        _setattr(self, "position", position)
+        _setattr(self, "direction", direction)  # "fwd" | "rev"
 
     def __str__(self):
         return f"subst {self.relation} @ {self.position} {self.direction}"
 
 
-@dataclass(frozen=True)
-class DerivationScript:
-    name: str
-    source: str
-    steps: tuple[Elem | Conj | Rotate | Subst, ...]
-    expect: Optional[str] = None
+class DerivationScript(Frozen):
+    __slots__ = __match_args__ = ("name", "source", "steps", "expect")
+
+    def __init__(self, name: str, source: str, steps: tuple[Elem | Conj | Rotate | Subst, ...],
+                 expect: str | None = None):
+        self._set(name, source, steps, expect)
 
 
 def _require_positive(w: Word) -> None:
@@ -240,8 +246,7 @@ def find_sites(system: CurveSystem, w: Word, rel: RelationDecl) -> list[tuple[in
     return sorted(sites)
 
 
-@dataclass
-class StepRecord:
+class StepRecord(Record):
     """One replay step: the move, the word after it and what was checked.
 
     ``word`` is the Word itself, not its text.  Rendering reads every
@@ -249,28 +254,38 @@ class StepRecord:
     prints it, with ``render_word(step.word)``.
     """
 
-    index: int
-    move: str
-    length: int
-    word: Word
-    # True, or None for an assumed relation's step that no earlier
-    # computable word checked
-    rho_checked: Optional[bool] = None
-    assumed_relation: Optional[str] = None
-    sigma: Optional[int] = None
-    lantern_forward: bool = False
-    lantern_reverse: bool = False
+    __slots__ = __match_args__ = (
+        "index", "move", "length", "word", "rho_checked", "assumed_relation", "sigma",
+        "lantern_forward", "lantern_reverse",
+    )
+
+    def __init__(self, index: int, move: str, length: int, word: Word,
+                 rho_checked: bool | None = None, assumed_relation: str | None = None,
+                 sigma: int | None = None, lantern_forward: bool = False,
+                 lantern_reverse: bool = False):
+        self.index = index
+        self.move = move
+        self.length = length
+        self.word = word
+        # True, or None for an assumed relation's step that no earlier
+        # computable word checked
+        self.rho_checked = rho_checked
+        self.assumed_relation = assumed_relation
+        self.sigma = sigma
+        self.lantern_forward = lantern_forward
+        self.lantern_reverse = lantern_reverse
 
 
-@dataclass
-class ReplayResult:
-    script: DerivationScript
-    initial: Word
-    final: Word
-    steps: list[StepRecord] = field(default_factory=list)
-    expected_matched: Optional[bool] = None
-    sigma_initial: Optional[int] = None
-    sigma_final: Optional[int] = None
+class ReplayResult(Record):
+    __slots__ = __match_args__ = (
+        "script", "initial", "final", "steps", "expected_matched", "sigma_initial", "sigma_final",
+    )
+
+    def __init__(self, script: DerivationScript, initial: Word, final: Word,
+                 steps: list[StepRecord] | None = None, expected_matched: bool | None = None,
+                 sigma_initial: int | None = None, sigma_final: int | None = None):
+        self._set(script, initial, final, [] if steps is None else steps, expected_matched,
+                  sigma_initial, sigma_final)
 
     @property
     def lantern_forward_count(self) -> int:

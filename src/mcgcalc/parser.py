@@ -38,9 +38,9 @@ Script files hold derivations:
 
 from __future__ import annotations
 
+import os
 import re
-from pathlib import Path
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .errors import InvalidSystem, ParseError, UnknownCurve
 from .moves import Conj, DerivationScript, Elem, Rotate, Subst
@@ -79,10 +79,10 @@ class _Tokens:
         """(token, 1-based column) pairs; columns are found only when asked."""
         return [(m.group(1), m.start(1) + 1) for m in _TOKEN.finditer(self.text)]
 
-    def peek(self) -> Optional[str]:
+    def peek(self) -> str | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self, expected: Optional[str] = None) -> str:
+    def next(self, expected: str | None = None) -> str:
         if self.i >= len(self.toks):
             raise ParseError(
                 f"unexpected end of line{f', expected {expected!r}' if expected else ''}",
@@ -94,9 +94,8 @@ class _Tokens:
         self.i += 1
         return tok
 
-    def col(self) -> Optional[int]:
-        """The column of the next token; None at the end of the line,
-        which has no column."""
+    def col(self) -> int | None:
+        """The column of the next token; None at the end of the line."""
         return self.items[self.i][1] if self.i < len(self.toks) else None
 
     def last_col(self) -> int:
@@ -131,7 +130,7 @@ _BASIS = re.compile(r"([ab])(\d+)$")
 _Memo = dict[str | tuple[str, ...], Letter]
 
 
-def _is_name(tok: Optional[str]) -> bool:
+def _is_name(tok: str | None) -> bool:
     return tok is not None and tok[0] in _NAME_START
 
 
@@ -143,7 +142,7 @@ def _name(toks: _Tokens) -> str:
     return tok
 
 
-def _int(tok: Optional[str], line: int) -> Optional[int]:
+def _int(tok: str | None, line: int) -> int | None:
     """The integer a token spells, or None when it spells none.
 
     A token spells an integer when it is digits with an optional "-"
@@ -160,7 +159,7 @@ def _int(tok: Optional[str], line: int) -> Optional[int]:
         raise ParseError(f"integer of {len(tok.lstrip('-'))} digits is too long", line) from None
 
 
-def _parse_class(toks: _Tokens, genus: int) -> Optional[tuple[int, ...]]:
+def _parse_class(toks: _Tokens, genus: int) -> tuple[int, ...] | None:
     """The class the rest of the line spells, read with a local index;
     ``toks.i`` is set before every raise, as in ``_parse_conj``."""
     seq, line, i = toks.toks, toks.line, toks.i
@@ -341,7 +340,7 @@ def _statements(text: str) -> Iterator[tuple[int, bool, _Tokens, str]]:
 
 def parse_system(text: str, source: str = "<string>") -> CurveSystem:
     """Parse a system file; raises ParseError with line/column on errors."""
-    system: Optional[CurveSystem] = None
+    system: CurveSystem | None = None
     pending: list[tuple[int, _Tokens, str]] = []
     for lineno, _, toks, stmt in _statements(text):
         if stmt == "genus":
@@ -410,7 +409,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
     sources: dict[str, str] = {}
     expects: dict[str, str] = {}
     steps: dict[str, list] = {}
-    current: Optional[str] = None
+    current: str | None = None
     for lineno, indented, toks, stmt in _statements(text):
         if stmt == "script":
             current = _name(toks)
@@ -479,15 +478,16 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
     return {n: DerivationScript(n, sources[n], tuple(steps[n]), expects.get(n)) for n in steps}
 
 
-def read_source(path: str | Path) -> str:
+def read_source(path: str | os.PathLike) -> str:
     """The text of an input file; a ParseError when it is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def load_system(path: str | Path) -> CurveSystem:
+def load_system(path: str | os.PathLike) -> CurveSystem:
     """The one gate from a system file to a validated system.
 
     Reads the file, parses it and checks its declared facts; raises

@@ -8,12 +8,10 @@ attached as static annotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from . import meyer, symplectic as sp
 from .errors import NotARelator, NotPositive, NotRealizable
 from .moves import ReplayResult
+from .records import Frozen
 from .system import CurveSystem
 from .words import Word, _check_in_system, is_positive, push_forward_word
 
@@ -27,14 +25,15 @@ SECTION_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Frozen):
     """Letter counts by separating type."""
 
-    n0: int = 0
-    separating: tuple[tuple[int, int], ...] = ()  # (h, count), h ascending
-    sep_type_unknown: int = 0
-    class_unknown: int = 0
+    __slots__ = __match_args__ = ("n0", "separating", "sep_type_unknown", "class_unknown")
+
+    def __init__(self, n0: int = 0, separating: tuple[tuple[int, int], ...] = (),
+                 sep_type_unknown: int = 0, class_unknown: int = 0):
+        # separating holds (h, count) pairs, h ascending
+        self._set(n0, separating, sep_type_unknown, class_unknown)
 
     @property
     def n_separating(self) -> int:
@@ -52,19 +51,18 @@ class Census:
         }
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    genus: int
-    n: int
-    census: Census
-    e: int
-    sigma: Optional[int]
-    h1: Optional[sp.AbelianGroup]
-    b2plus: Optional[int] = None
-    b2minus: Optional[int] = None
-    b1: Optional[int] = None
-    flags: dict = field(default_factory=dict)
-    annotations: tuple[str, ...] = ()
+class InvariantReport(Frozen):
+    __slots__ = __match_args__ = (
+        "genus", "n", "census", "e", "sigma", "h1", "b2plus", "b2minus", "b1", "flags",
+        "annotations",
+    )
+
+    def __init__(self, genus: int, n: int, census: Census, e: int, sigma: int | None,
+                 h1: sp.AbelianGroup | None, b2plus: int | None = None,
+                 b2minus: int | None = None, b1: int | None = None, flags: dict | None = None,
+                 annotations: tuple[str, ...] = ()):
+        self._set(genus, n, census, e, sigma, h1, b2plus, b2minus, b1,
+                  {} if flags is None else flags, annotations)
 
     def as_dict(self) -> dict:
         return {
@@ -173,14 +171,14 @@ def full_report(system: CurveSystem, w: Word) -> InvariantReport:
         "sigma_divisible_by_16": sigma % 16 == 0,
     }
     if census.sep_type_unknown == 0:
-        hyp = meyer.hyperelliptic_signature(
-            g, census.n0, {h: c for h, c in census.separating}
-        )
-        if hyp == sigma:
+        # the closed form is num / (2g+1), compared in integers
+        num = meyer._hyperelliptic_numerator(g, census.n0, dict(census.separating))
+        hyp, rem = divmod(num, 2 * g + 1)
+        if num == (2 * g + 1) * sigma:
             annotations.append(
                 "census is hyperelliptic-consistent: closed-form signature matches"
             )
-        elif hyp.denominator == 1:
+        elif rem == 0:
             annotations.append(
                 f"hyperelliptic closed form gives {hyp}, fibration signature is {sigma}"
             )
@@ -201,12 +199,11 @@ def full_report(system: CurveSystem, w: Word) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    k: int
-    delta_e: int
-    delta_sigma: Optional[int]
-    lines: tuple[str, ...]
+class DeltaReport(Frozen):
+    __slots__ = __match_args__ = ("k", "delta_e", "delta_sigma", "lines")
+
+    def __init__(self, k: int, delta_e: int, delta_sigma: int | None, lines: tuple[str, ...]):
+        self._set(k, delta_e, delta_sigma, lines)
 
     def as_dict(self) -> dict:
         return {

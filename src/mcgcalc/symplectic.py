@@ -16,12 +16,12 @@ the tests check the products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, InvalidGroup, UnknownClass
+from .records import Frozen
 from .words import Letter, Word, _check_in_system
 
 Vec = tuple[int, ...]
@@ -117,7 +117,7 @@ def letter_class(system, letter: Letter) -> Vec:
     return _known_classes(system, ((letter, 1),))[0][0]
 
 
-def _class_table(system, pairs: Iterable[tuple[Letter, int]]) -> list[Optional[tuple[Vec, int]]]:
+def _class_table(system, pairs: Iterable[tuple[Letter, int]]) -> list[tuple[Vec, int] | None]:
     """(u, s) with rho(letter^s) = T_u^s per (letter, s) pair, or None when opaque.
 
     The one walk from a word to its classes, through the memo of
@@ -170,19 +170,18 @@ def is_homological_relator(system, w: Word) -> bool:
     return rho_image(system, w) == mat_identity(2 * system.genus)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """A finitely generated abelian group: Z^rank + sum of Z/t_i."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0 or any(t < 2 for t in self.torsion):
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0 or any(t < 2 for t in torsion):
             raise InvalidGroup("bad abelian group data")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise InvalidGroup("torsion coefficients must form a divisibility chain")
+        self._set(rank, torsion)
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion

@@ -12,9 +12,8 @@ treated as immutable afterward; queries are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from math import gcd, isqrt
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import symplectic as sp
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     UnknownClass,
     UnknownCurve,
 )
+from .records import Frozen
 from .words import Letter, Word, normalize_conjugator
 
 Vec = tuple[int, ...]
@@ -38,8 +38,7 @@ Vec = tuple[int, ...]
 LANTERN_WALK_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class RelationDecl:
+class RelationDecl(Frozen):
     """A declared relation with its two substitutable sides.
 
     kind is a key of RELATION_KINDS.  The sides are
@@ -48,11 +47,11 @@ class RelationDecl:
     "assumed" when opaque curves make the check impossible.
     """
 
-    name: str
-    kind: str
-    left: tuple[Letter, ...]
-    right: tuple[Letter, ...]
-    status: str = "unchecked"
+    __slots__ = __match_args__ = ("name", "kind", "left", "right", "status")
+
+    def __init__(self, name: str, kind: str, left: tuple[Letter, ...],
+                 right: tuple[Letter, ...], status: str = "unchecked"):
+        self._set(name, kind, left, right, status)
 
     def with_status(self, status: str) -> "RelationDecl":
         return RelationDecl(self.name, self.kind, self.left, self.right, status)
@@ -65,7 +64,7 @@ class CurveSystem:
         if genus < 2:
             raise InvalidDeclaration("genus must be at least 2")
         self.genus = genus
-        self._curves: dict[str, Optional[Vec]] = {}
+        self._curves: dict[str, Vec | None] = {}
         self._decl_index: dict[str, int] = {}
         # the names declared disjoint from, and meeting once, each curve
         # (both symmetric); the normal form in words.normalize_conjugator
@@ -74,7 +73,7 @@ class CurveSystem:
         self._meet1_of: dict[str, set[str]] = {}
         # classes by letter, which no later declaration changes; the memo
         # lives and dies with this system
-        self._classes: dict[Letter, Optional[Vec]] = {}
+        self._classes: dict[Letter, Vec | None] = {}
         self.septype: dict[str, int] = {}
         self.relations: dict[str, RelationDecl] = {}
         self.words: dict[str, Word] = {}
@@ -82,7 +81,7 @@ class CurveSystem:
 
     # -- construction -------------------------------------------------
 
-    def add_curve(self, name: str, cls: Optional[Sequence[int]]) -> None:
+    def add_curve(self, name: str, cls: Sequence[int] | None) -> None:
         if name in self._curves:
             raise InvalidDeclaration(f"curve {name!r} already declared")
         if cls is not None:
@@ -155,7 +154,7 @@ class CurveSystem:
     def curve_names(self) -> tuple[str, ...]:
         return tuple(self._curves)
 
-    def class_of(self, name: str) -> Optional[Vec]:
+    def class_of(self, name: str) -> Vec | None:
         self._require(name)
         return self._curves[name]
 
@@ -216,7 +215,7 @@ class CurveSystem:
 
     # -- homology -------------------------------------------------------
 
-    def homology_class_of_letter(self, letter: Letter) -> Optional[Vec]:
+    def homology_class_of_letter(self, letter: Letter) -> Vec | None:
         """Class of the twisted curve; None when opaque curves block it.
 
         The one walk from a letter's conjugator to its class, memoized
@@ -256,7 +255,7 @@ class CurveSystem:
         return v
 
 
-class RelationKind(NamedTuple):
+class RelationKind(Frozen):
     """What one relation kind declares.
 
     ``before`` and ``after`` count the atoms a declaration lists before
@@ -266,11 +265,11 @@ class RelationKind(NamedTuple):
     disjoint one for commute; a lantern needs none).
     """
 
-    before: int
-    after: int
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    meet: Optional[int]
+    __slots__ = __match_args__ = ("before", "after", "left", "right", "meet")
+
+    def __init__(self, before: int, after: int, left: tuple[int, ...],
+                 right: tuple[int, ...], meet: int | None):
+        self._set(before, after, left, right, meet)
 
 
 RELATION_KINDS = {
@@ -421,7 +420,7 @@ def _image_points(m: sp.Mat, bound: int) -> list[Vec]:
 
 
 def _complete(
-    d: list[tuple[Vec, int]], filled: tuple[Optional[Vec], ...], bound: int
+    d: list[tuple[Vec, int]], filled: tuple[Vec | None, ...], bound: int
 ) -> Iterator[tuple[Vec, Vec, Vec]]:
     """Every completion of ``filled`` to T(r0) T(r1) T(r2) = D.
 
@@ -468,9 +467,9 @@ def _complete(
 def solve_lantern_classes(
     system: CurveSystem,
     d_names: Sequence[str],
-    right: Sequence[Optional[str]],
+    right: Sequence[str | None],
     bound: int = 2,
-) -> list[tuple[Optional[Vec], Optional[Vec], Optional[Vec]]]:
+) -> list[tuple[Vec | None, Vec | None, Vec | None]]:
     """Candidate class assignments making the lantern identity hold.
 
     ``right`` has three entries: a curve name where the class is known,

@@ -50,14 +50,13 @@ different curve).  All values are immutable and all operations pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from itertools import groupby
-from typing import Iterable, Iterator, Tuple, TypeVar
 
 from .errors import ConjugatorTooLong, McgError, SystemMismatch
+from .records import Frozen, _setattr
 
-Pair = Tuple[str, int]
-T = TypeVar("T")
+Pair = tuple[str, int]
 
 # Most letters a word expression may expand to, and most twists a
 # conjugator may have.  Powers expand at parse time, so ``c1^1000000000``
@@ -68,9 +67,9 @@ T = TypeVar("T")
 MAX_WORD_LETTERS = 100_000
 
 
-def _free_reduce_pairs(pairs: Iterable[tuple[T, int]]) -> list[tuple[T, int]]:
+def _free_reduce_pairs(pairs: Iterable[tuple[object, int]]) -> list[tuple[object, int]]:
     """Cancel adjacent (x, s) (x, -s): twists of a conjugator, or letters of a word."""
-    out: list[tuple[T, int]] = []
+    out: list[tuple[object, int]] = []
     for name, sign in pairs:
         # the sign first: a positive word never cancels, so its letters are not compared
         if out and out[-1][1] == -sign and out[-1][0] == name:
@@ -180,22 +179,27 @@ def _sort_commuting(system, conj: list[Pair]) -> list[Pair]:
     return out
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Frozen):
     """A conjugated curve ``[conj]base`` in normal form.
 
     Construct through ``CurveSystem.letter``; direct construction skips
     normalization, but the conjugator must still be freely reduced.
     """
 
-    conj: tuple[Pair, ...]
-    base: str
-    # hash((conj, base)), what the generated __hash__ gives, taken once:
-    # class tables look a letter up on every read
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("conj", "base", "_hash")
+    __match_args__ = ("conj", "base")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.conj, self.base)))
+    def __init__(self, conj: tuple[Pair, ...], base: str):
+        _setattr(self, "conj", conj)
+        _setattr(self, "base", base)
+        # hash((conj, base)), taken once: class tables and memos look a
+        # letter up on every read
+        _setattr(self, "_hash", hash((conj, base)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.base == other.base and self.conj == other.conj
 
     def __hash__(self) -> int:
         return self._hash
