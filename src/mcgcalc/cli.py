@@ -34,9 +34,21 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _load(args):
+    """The command's system, also kept as ``args.loaded``, where
+    ``run_command`` finds it when the command returns; a system that
+    breaks its facts is kept too, from the InvalidSystem it raises."""
+    try:
+        args.loaded = load_system(args.system)
+    except InvalidSystem as exc:
+        args.loaded = exc.system
+        raise
+    return args.loaded
+
+
 def _cmd_check(args) -> int:
     try:
-        system, violations = load_system(args.system), []
+        system, violations = _load(args), []
     except InvalidSystem as exc:
         system, violations = exc.system, exc.violations
     for v in violations:
@@ -54,7 +66,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    system = load_system(args.system)
+    system = _load(args)
     if args.word not in system.words:
         print(f"word {args.word!r} is not declared in {args.system}", file=sys.stderr)
         return 2
@@ -83,7 +95,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    system = load_system(args.system)
+    system = _load(args)
     scripts = parse_scripts(read_source(args.script), system, args.script)
     if not scripts:
         print(f"no scripts in {args.script}", file=sys.stderr)
@@ -128,7 +140,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_sites(args) -> int:
-    system = load_system(args.system)
+    system = _load(args)
     if args.word not in system.words:
         print(f"word {args.word!r} is not declared", file=sys.stderr)
         return 2
@@ -144,7 +156,7 @@ def _cmd_sites(args) -> int:
 
 
 def _cmd_solve_lantern(args) -> int:
-    system = load_system(args.system)
+    system = _load(args)
     known = list(args.known)
     if len(known) == 1:
         known = known + ["?", "?"]
@@ -250,6 +262,13 @@ def run_command(argv: list[str]) -> int:
     except McgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # the system's words hold the system, so dropping them lets
+        # reference counting free it, and its class memo, on return
+        # instead of the cyclic collector some time later
+        loaded = getattr(args, "loaded", None)
+        if loaded is not None:
+            loaded.words.clear()
 
 
 def main() -> None:

@@ -83,7 +83,7 @@ from collections.abc import Mapping, Sequence
 from math import gcd
 
 from . import symplectic as sp
-from .errors import InvalidCensus, NotARelator, NotPositive, NotSymplectic
+from .errors import DimensionError, InvalidCensus, NotARelator, NotPositive, NotSymplectic
 from .words import Word, _check_in_system, is_positive
 
 Mat = sp.Mat
@@ -123,62 +123,51 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
 def signature_of_symmetric(s: Sequence[Sequence[int]]) -> int:
     """Signature of an exact symmetric integer matrix.
 
-    Congruence recursion: pick a nonzero pivot p (creating one by a
-    symmetric row/column addition if the whole diagonal vanishes),
-    record sign(p), and recurse on p^2 times the Schur complement,
-    which is again integral and congruent to the complement up to a
-    positive scale.
+    Symmetry is a precondition, not checked; a ragged or non-square
+    matrix raises DimensionError.  Congruence recursion with Bareiss's
+    exact division (E. H. Bareiss, Math. Comp. 22, 1968): pick a nonzero
+    pivot p (swapping in a nonzero diagonal entry, or creating one by a
+    symmetric row/column addition if the whole diagonal vanishes), and
+    replace the rest of the block by (p a_ij - a_ik a_kj) / prev for the
+    previous pivot prev, 1 at the start.  The division is exact, and the
+    block stays prev times the Schur complement of the matrix reached by
+    these congruences, so the true pivot p / prev has the sign of
+    p * prev.
     """
     n = len(s)
+    for i, row in enumerate(s):
+        if len(row) != n:
+            raise DimensionError(f"row {i} has {len(row)} entries, expected {n}")
     a = [list(row) for row in s]
     sig = 0
-    k = 0
-    while k < n:
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][i]), None)
+    prev = 1
+    while a:
+        if a[0][0] == 0:
+            swap = next((i for i in range(1, len(a)) if a[i][i]), None)
             if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
+                a[0], a[swap] = a[swap], a[0]
                 for row in a:
-                    row[k], row[swap] = row[swap], row[k]
+                    row[0], row[swap] = row[swap], row[0]
             else:
-                j = next(
-                    (
-                        (i, jj)
-                        for i in range(k, n)
-                        for jj in range(i + 1, n)
-                        if a[i][jj]
-                    ),
+                pair = next(
+                    ((i, j) for i in range(len(a)) for j in range(i + 1, len(a)) if a[i][j]),
                     None,
                 )
-                if j is None:
+                if pair is None:
                     break  # remaining block is zero
-                i, jj = j
-                if i != k:
-                    a[k], a[i] = a[i], a[k]
+                i, j = pair
+                if i:
+                    a[0], a[i] = a[i], a[0]
                     for row in a:
-                        row[k], row[i] = row[i], row[k]
-                for col in range(k, n):
-                    a[k][col] += a[jj][col]
+                        row[0], row[i] = row[i], row[0]
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
                 for row in a:
-                    row[k] += row[jj]
-        p = a[k][k]
-        sig += 1 if p > 0 else -1
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = p * (p * a[i][j] - a[i][k] * a[k][j])
-        for i in range(k + 1, n):
-            a[i][k] = a[k][i] = 0
-        # scaling the remaining block by a positive constant preserves
-        # its signature, so strip the gcd to keep entries small
-        g = 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                g = gcd(g, a[i][j])
-        if g > 1:
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] //= g
-        k += 1
+                    row[0] += row[j]
+        top = a[0]
+        p = top[0]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
+        prev = p
     return sig
 
 

@@ -381,8 +381,22 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
     if system is None:
         raise ParseError("missing genus statement", 1)
 
-    # relations and words resolve after all curves exist, and after every
-    # disjoint and meet1 fact, so an atom text has one letter per parse
+    try:
+        _resolve(system, pending)
+    except BaseException:
+        # nothing can reach the partial system now, but its words hold
+        # it: drop them, so that reference counting frees it
+        system.words.clear()
+        raise
+    return system
+
+
+def _resolve(system: CurveSystem, pending: list[tuple[int, _Tokens, str]]) -> None:
+    """Add the pending relations and words to the system, in file order.
+
+    They resolve after all curves exist, and after every disjoint and
+    meet1 fact, so an atom text has one letter per parse.
+    """
     memo: _Memo = {}
     for lineno, toks, stmt in pending:
         try:
@@ -401,7 +415,6 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
             system.add_relation(make_relation(stmt, name, *atoms))
         except (ValueError, UnknownCurve) as exc:
             raise ParseError(str(exc), lineno) from exc
-    return system
 
 
 def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> dict[str, DerivationScript]:

@@ -297,9 +297,60 @@ def h1_total_space(system, w: Word) -> AbelianGroup:
 
 
 def _h1_of_classes(g: int, table: Sequence[tuple[Vec, int]]) -> AbelianGroup:
-    """Z^2g modulo the vanishing cycles' classes, from their class table:
-    repeated classes, also up to sign, span nothing new, so each distinct
-    class is a single column."""
-    cols = dict.fromkeys(max(u, tuple(-x for x in u)) for u in dict.fromkeys(u for u, _ in table))
-    matrix = [[col[i] for col in cols] for i in range(2 * g)]
-    return cokernel(matrix, 2 * g)
+    """Z^2g modulo the vanishing cycles' classes, from their class table.
+
+    The classes go in order into an echelon basis of their lattice
+    (``_lattice_rows``).  Once it holds 2g rows with pivots +-1 it spans
+    Z^2g, so H1 = 0, the usual case for a relator, and no further class
+    is read.  Otherwise Smith normal form reads its at most 2g rows:
+    they span the same lattice as the classes, so the cokernel is the
+    same.
+    """
+    n = 2 * g
+    rows = _lattice_rows(n, (u for u, _ in table))
+    if len(rows) == n and all(abs(row[p]) == 1 for p, row in enumerate(rows)):
+        return AbelianGroup(0)
+    return cokernel(rows, n)
+
+
+def _lattice_rows(n: int, classes: Iterable[Vec]) -> list[list[int]]:
+    """An integer echelon basis of the lattice the classes span, in pivot order.
+
+    Each row is zero before its pivot column and no two rows share one.
+    A class is cleared against the rows in pivot order: a pivot that
+    divides its entry there is subtracted; one that does not is replaced,
+    by the extended gcd, with a unimodular combination of its row and
+    the class whose pivot is their gcd (Cohen, GTM 138, 2.4), so the rows
+    always span the classes read so far.  A class left nonzero becomes
+    the row of its first nonzero column.  Reading stops at n rows with
+    pivots +-1, which span Z^n.  A repeated class is skipped.
+    """
+    rows: list[list[int] | None] = [None] * n
+    units = 0
+    seen = set()
+    for u in classes:
+        if u in seen:
+            continue
+        seen.add(u)
+        for p in range(n):
+            f = u[p]
+            if not f:
+                continue
+            row = rows[p]
+            if row is None:
+                rows[p] = list(u)
+                units += abs(f) == 1
+                break
+            b = row[p]
+            if f % b:
+                d, x, y = _xgcd(b, f)
+                s, t = b // d, f // d
+                rows[p] = [x * r + y * c for r, c in zip(row, u)]
+                u = [s * c - t * r for r, c in zip(row, u)]
+                units += abs(d) == 1
+            else:
+                q = f // b
+                u = [c - q * r for r, c in zip(row, u)]
+        if units == n:
+            break
+    return [row for row in rows if row is not None]

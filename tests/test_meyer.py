@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcgcalc.errors import NotARelator, NotSymplectic
+from mcgcalc.errors import DimensionError, NotARelator, NotSymplectic
 from mcgcalc.meyer import (
     factorization_signature,
     hyperelliptic_signature,
@@ -69,6 +69,17 @@ def test_signature_zero_matrix():
 def test_signature_hyperbolic_plane():
     assert signature_of_symmetric([[0, 1], [1, 0]]) == 0
     assert signature_of_symmetric([[0, 2], [2, 0]]) == 0
+
+
+def test_signature_refuses_ragged_and_non_square_matrices():
+    # a typed error, as smith_normal_form gives, not a builtin IndexError
+    with pytest.raises(DimensionError, match="row 1 has 1 entries, expected 2"):
+        signature_of_symmetric([[1, 2], [3]])
+    with pytest.raises(DimensionError):
+        signature_of_symmetric([[1], [2, 3]])
+    with pytest.raises(DimensionError):
+        signature_of_symmetric([[1, 2]])
+    assert signature_of_symmetric([[-5]]) == -1
 
 
 # --- integer kernel ----------------------------------------------------------
