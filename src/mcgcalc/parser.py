@@ -26,6 +26,12 @@ a curve, word, relation, script or septype is declared once, and a
 script has at most one ``expect``.  ``load_system`` is the one gate
 from a system file to a validated system.
 
+A line is read by one ``findall``.  On ``word`` and relation lines an
+atom ``[W]c`` whose W holds only name characters, digits, ``^``, ``-``
+and whitespace is one token, and each distinct atom text is read and
+normalized once per parse, by a memo keyed on that text; on a miss one
+``findall`` reads W, and the script ``conj`` step reads its CONJ alike.
+
 Script files hold derivations:
 
     script NAME on WORD:
@@ -59,28 +65,37 @@ MAX_NESTING = 100
 
 # a token (a name, an integer or an operator) after optional whitespace;
 # a character that starts none matches outside the group, read as ""
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|-?\d+|=>|[-+^\[\]()=:@?])|\S)")
+_PLAIN_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|-?\d+|=>|[-+^\[\]()=:@?])|\S)")
+# the same, with a conjugated atom [W]c one token when W holds only name
+# characters, digits, "^", "-" and whitespace; else "[" is a token
+_TOKEN = re.compile(
+    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|-?\d+|\[[A-Za-z_\d^\s-]*\]\s*[A-Za-z_][A-Za-z0-9_]*|=>|[-+^\[\]()=:@?])|\S)"
+)
+# a conjugator's (name, exponent) pair, or (group 3) a character that starts none
+_PAIR = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(-?\d+))?|(\S))")
+
+
+def _shown(tok: str) -> str:
+    """The token an error names: "[" for a conjugated atom."""
+    return "[" if tok[0] == "[" else tok
 
 
 class _Tokens:
-    """One line's tokens, read by one ``findall``, and a cursor over them."""
+    """One line's tokens, read by one ``findall`` of ``pattern``, and a cursor over them."""
 
-    __slots__ = ("text", "line", "toks", "i")
+    __slots__ = ("text", "line", "pattern", "toks", "i")
 
-    def __init__(self, text: str, line: int, i: int = 0):
-        self.text, self.line, self.i = text, line, i
-        self.toks = _TOKEN.findall(text)
+    def __init__(self, text: str, line: int, i: int = 0, pattern: re.Pattern = _PLAIN_TOKEN):
+        self.text, self.line, self.i, self.pattern = text, line, i, pattern
+        self.toks = pattern.findall(text)
         if "" in self.toks:
-            m = list(_TOKEN.finditer(text))[self.toks.index("")]
+            m = list(pattern.finditer(text))[self.toks.index("")]
             raise ParseError("unrecognized token", line, m.end(), m.group()[-1])
 
     @property
     def items(self) -> list[tuple[str, int]]:
         """(token, 1-based column) pairs; columns are found only when asked."""
-        return [(m.group(1), m.start(1) + 1) for m in _TOKEN.finditer(self.text)]
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return [(m.group(1), m.start(1) + 1) for m in self.pattern.finditer(self.text)]
 
     def next(self, expected: str | None = None) -> str:
         if self.i >= len(self.toks):
@@ -90,7 +105,7 @@ class _Tokens:
             )
         tok = self.toks[self.i]
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}", self.line, self.col(), tok)
+            raise ParseError(f"expected {expected!r}", self.line, self.col(), _shown(tok))
         self.i += 1
         return tok
 
@@ -107,7 +122,7 @@ class _Tokens:
 
     def require_done(self) -> None:
         if not self.done():
-            raise ParseError("trailing input", self.line, self.col(), self.toks[self.i])
+            raise ParseError("trailing input", self.line, self.col(), _shown(self.toks[self.i]))
 
     def args(self, k: int) -> list[str]:
         """The next k tokens, which must end the line: k ``next`` calls and
@@ -124,10 +139,11 @@ class _Tokens:
 # token is empty, and the tokenizer's first alternative reads whole names
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _BASIS = re.compile(r"([ab])(\d+)$")
+# the statements that hold atoms, read after all others
+_ATOM_STATEMENTS = frozenset(("word", *RELATION_KINDS))
 
-# a plain atom's name, or a conjugated atom's tokens from "[" through its
-# base name, to its letter
-_Memo = dict[str | tuple[str, ...], Letter]
+# an atom's token, a plain atom's name or a conjugated atom's text, to its letter
+_Memo = dict[str, Letter]
 
 
 def _is_name(tok: str | None) -> bool:
@@ -138,7 +154,7 @@ def _name(toks: _Tokens) -> str:
     """The next token, which must be a name."""
     tok = toks.next()
     if not _is_name(tok):
-        raise ParseError("expected name", toks.line, toks.last_col(), tok)
+        raise ParseError("expected name", toks.line, toks.last_col(), _shown(tok))
     return tok
 
 
@@ -161,7 +177,8 @@ def _int(tok: str | None, line: int) -> int | None:
 
 def _parse_class(toks: _Tokens, genus: int) -> tuple[int, ...] | None:
     """The class the rest of the line spells, read with a local index;
-    ``toks.i`` is set before every raise, as in ``_parse_conj``."""
+    ``toks.i`` is set before every raise, so an error names the column
+    of its token."""
     seq, line, i = toks.toks, toks.line, toks.i
     n = len(seq)
     if i < n and seq[i] == "?":
@@ -196,76 +213,77 @@ def _parse_class(toks: _Tokens, genus: int) -> tuple[int, ...] | None:
     return tuple(vec)
 
 
-def _parse_conj(toks: _Tokens) -> list[tuple[str, int]]:
-    """The (name, exponent) pairs of a conjugator, read in one pass.
-
-    Walks ``toks.toks`` with a local index and converts only exponent
-    tokens; ``toks.i`` is set before every raise, so an error names the
-    column of its token.
-    """
-    seq, line = toks.toks, toks.line
-    i, n = toks.i, len(seq)
+def _read_conj(text: str, pos: int, end: int, line: int) -> tuple[list[tuple[str, int]], re.Match | None]:
+    """The (name, exponent) pairs in ``text[pos:end]``, read by one ``findall``, and the
+    ``_PLAIN_TOKEN`` match where they stop: at ``end``, unless a character that starts
+    no pair comes first.  An error names a ``_PLAIN_TOKEN`` match's column and token."""
+    items = _PAIR.findall(text, pos, end)
     out: list[tuple[str, int]] = []
-    twists = 0
-    while i < n and seq[i][0] in _NAME_START:
-        name, exp = seq[i], 1
-        i += 1
-        if i < n and seq[i] == "^":
-            if i + 1 == n:
-                toks.i = n
-                raise ParseError("unexpected end of line", line)
-            tok = seq[i + 1]
-            toks.i = i = i + 2
-            exp = _int(tok, line)
-            if exp is None:
-                raise ParseError("expected integer exponent", line, toks.last_col(), tok)
-            if exp == 0:
-                raise ParseError("conjugator exponent must be nonzero", line)
+    twists, stop = 0, end
+    for name, digits, junk in items:
+        if junk:
+            stop = next(m.start(3) for m in _PAIR.finditer(text, pos, end) if m.group(3))
+            break
+        try:
+            exp = int(digits) if digits else 1
+        except ValueError:
+            exp = _int(digits, line)  # past the digit limit: raises its ParseError
+        if exp == 0:
+            raise ParseError("conjugator exponent must be nonzero", line)
         twists += abs(exp)
-        if twists > MAX_WORD_LETTERS:
-            toks.i = i
+        # a name without an exponent fails first on a "^" right after it
+        if twists > MAX_WORD_LETTERS and (digits or items[len(out) + 1 :][:1] != [("", "", "^")]):
             raise ParseError(f"conjugator expands past {MAX_WORD_LETTERS} twists", line)
         out.append((name, exp))
-    toks.i = i
+    after = _PLAIN_TOKEN.match(text, stop)
+    if out and after and after.group(1) == "^" and not items[len(out) - 1][1]:
+        if (tok := _PLAIN_TOKEN.match(text, after.end())) is None:
+            raise ParseError("unexpected end of line", line)
+        raise ParseError("expected integer exponent", line, tok.start(1) + 1, tok.group(1))
     if not out:
-        raise ParseError("empty conjugator", line, toks.col(), toks.peek())
-    return out
+        raise ParseError("empty conjugator", line, *((after.start(1) + 1, after.group(1)) if after else ()))
+    return out, after
+
+
+def _read_atom(text: str, pos: int, line: int) -> tuple[str, list[tuple[str, int]]]:
+    """The base name and conjugator of the atom whose "[" is ``text[pos]``;
+    its pairs stop at the first "]" after it, if not before."""
+    end = text.find("]", pos)
+    conj, close = _read_conj(text, pos + 1, end if end >= 0 else len(text), line)
+    if close is None:
+        raise ParseError("unexpected end of line, expected ']'", line)
+    if close.group(1) != "]":
+        raise ParseError("expected ']'", line, close.start(1) + 1, close.group(1))
+    if (base := _PLAIN_TOKEN.match(text, close.end())) is None:
+        raise ParseError("unexpected end of line", line)
+    if not _is_name(base.group(1)):
+        raise ParseError("expected curve name after conjugator", line, base.start(1) + 1, base.group(1))
+    return base.group(1), conj
 
 
 def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
-    """The next atom's letter.
-
-    ``memo`` holds the atoms already read in this parse, so a repeated
-    atom text is read and normalized once: a plain atom by its name, a
-    conjugated one by its tokens.  Only an atom that parses is stored,
-    so a key cut short by the end of the line never hits.
-    """
-    seq, start = toks.toks, toks.i
-    if start < len(seq) and seq[start] != "[":
-        key, end = seq[start], start + 1
-    else:
-        # a search, not ``"]" in seq[start:]``: a slice per atom would
-        # copy the rest of the line, quadratic in a long line
-        try:
-            end = seq.index("]", start) + 2
-        except ValueError:
-            end = len(seq)
-        key = tuple(seq[start:end])
-    letter = memo.get(key)
+    """The next atom's letter.  ``memo`` holds the atoms already read in
+    this parse, keyed on the atom's token, a name or a conjugated atom's
+    text, so a repeated atom costs one lookup; it stores only atoms that parse."""
+    seq, i = toks.toks, toks.i
+    tok = seq[i] if i < len(seq) else toks.next()
+    toks.i = i + 1
+    letter = memo.get(tok)
     if letter is not None:
-        toks.i = end
         return letter
-    conj: list[tuple[str, int]] = []
-    if toks.peek() == "[":
-        toks.next()
-        conj = _parse_conj(toks)
-        toks.next("]")
-    base = toks.next()
-    if not _is_name(base):
-        where = " after conjugator" if conj else ""
-        raise ParseError(f"expected curve name{where}", toks.line, toks.last_col(), base)
+    if tok[0] == "[":
+        try:
+            base, conj = _read_atom(tok, 0, toks.line)
+        except ParseError:
+            # raise again from the line, for its columns; a lone "[" starts
+            # an atom that is not one token, so it always fails
+            base, conj = _read_atom(toks.text, toks.last_col() - 1, toks.line)
+    elif _is_name(tok):
+        base, conj = tok, []
+    else:
+        raise ParseError("expected curve name", toks.line, toks.last_col(), tok)
     try:
-        letter = memo[key] = system.letter(base, conj)
+        letter = memo[tok] = system.letter(base, conj)
     except UnknownCurve as exc:
         raise ParseError(str(exc), toks.line) from exc
     return letter
@@ -275,7 +293,7 @@ def _word_power(toks: _Tokens) -> int:
     ptok = toks.next()
     power = _int(ptok, toks.line)
     if power is None or power < 1:
-        raise ParseError("word powers must be >= 1", toks.line, toks.last_col(), ptok)
+        raise ParseError("word powers must be >= 1", toks.line, toks.last_col(), _shown(ptok))
     return power
 
 
@@ -324,17 +342,20 @@ def _word_body(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Word:
 
 
 def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
-    return _word_body(_Tokens(text, line), system, {})
+    return _word_body(_Tokens(text, line, pattern=_TOKEN), system, {})
 
 
-def _statements(text: str) -> Iterator[tuple[int, bool, _Tokens, str]]:
+def _statements(text: str, atom_statements: frozenset = frozenset()) -> Iterator[tuple[int, bool, _Tokens, str]]:
     """(line number, indented, tokens, statement) for each line that holds
     more than a comment; the statement is the line's first token, and
-    the cursor stands after it.  Lines end where ``str.splitlines`` ends them."""
+    the cursor stands after it.  An atom is one token only in a statement
+    of ``atom_statements``.  Lines end where ``str.splitlines`` ends them."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         if body and not body.isspace():
-            toks = _Tokens(body, lineno, 1)
+            toks = _Tokens(body, lineno, 1, _TOKEN)
+            if "[" in body and toks.toks[0] not in atom_statements:
+                toks = _Tokens(body, lineno, 1)
             yield lineno, body[0].isspace(), toks, toks.toks[0]
 
 
@@ -342,7 +363,7 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
     """Parse a system file; raises ParseError with line/column on errors."""
     system: CurveSystem | None = None
     pending: list[tuple[int, _Tokens, str]] = []
-    for lineno, _, toks, stmt in _statements(text):
+    for lineno, _, toks, stmt in _statements(text, _ATOM_STATEMENTS):
         if stmt == "genus":
             if system is not None:
                 raise ParseError("duplicate genus statement", lineno)
@@ -371,7 +392,7 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
                 if h is None:
                     raise ParseError("septype needs an integer type", lineno, token=htok)
                 system.add_septype(name, h)
-            elif stmt in RELATION_KINDS or stmt == "word":
+            elif stmt in _ATOM_STATEMENTS:
                 pending.append((lineno, toks, stmt))
             else:
                 raise ParseError(f"unknown statement {stmt!r}", lineno, token=stmt)
@@ -449,8 +470,9 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError("elem direction must be L or R", lineno, token=direction)
             steps[current].append(Elem(idx, direction))
         elif stmt == "conj":
-            pairs = _parse_conj(toks)
-            toks.require_done()
+            pairs, rest = _read_conj(toks.text, _PLAIN_TOKEN.match(toks.text).end(), len(toks.text), lineno)
+            if rest:
+                raise ParseError("trailing input", lineno, rest.start(1) + 1, rest.group(1))
             try:
                 letters = []
                 for name, exp in pairs:

@@ -1,25 +1,34 @@
-"""The one-pass conjugator reader and the per-parse atom memo against
-the token-by-token oracle in ``tests/parser_oracle.py``.
+"""The conjugator reader, the atom token and the per-parse atom memo
+against the token-by-token oracle in ``tests/parser_oracle.py``.
 
-``parse_word``, the ``word`` lines of ``parse_system`` and the script
-``conj`` step must return the oracle's letters, or raise a ``ParseError``
-with the oracle's message, line, column and token, on well-formed and
-malformed conjugator texts.  The memo may not outlive one parse, and
-``CurveSystem.letter`` must still name the first undeclared curve.
+A well-formed conjugated atom ``[W]c`` is one token of ``parser._TOKEN``,
+and one pattern reads its conjugator.  ``parse_word``, ``parse_system``
+(word and relation lines) and the script ``conj`` step must return the
+oracle's letters, systems and scripts, or raise a ``ParseError`` with
+the oracle's message, line, column and token, on well-formed and
+malformed bracket contents.  The memo may not outlive one parse, a
+repeated atom text is read once per parse, and ``CurveSystem.letter``
+must still name the first undeclared curve.
 """
+
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcgcalc import parser
 from mcgcalc.errors import ParseError, UnknownCurve
 from mcgcalc.parser import (
-    MAX_WORD_LETTERS, _parse_conj, _Tokens, parse_scripts, parse_system, parse_word
+    _TOKEN, MAX_WORD_LETTERS, _read_atom, _read_conj, _Tokens, parse_scripts, parse_system, parse_word
 )
 from mcgcalc.system import CurveSystem
 from mcgcalc.words import Word
 from tests import parser_oracle as oracle
 from tests.test_incremental_replay import chain_text
+from tests.test_letter_layer import lines as token_lines
+from tests.test_statement_reader import check_scripts, check_system as check_file
 
 # the genus-2 chain c1..c5 with its meet1 and disjoint facts, no words
 HEAD = chain_text(2).rsplit("word ", 1)[0]
@@ -167,10 +176,16 @@ def check_step(text):
         return Word(SYSTEM, oracle.conj_step(toks, SYSTEM)).letters
 
     assert got == outcome(expected)
-    # the reader leaves the tokens where the oracle does, also on a raise
-    fast, slow = _Tokens(text, 2), oracle.Tokens(text, 2)
-    assert outcome(lambda: _parse_conj(fast)) == outcome(lambda: oracle.parse_conj(slow))
-    assert fast.i == slow.i
+    # the reader stops at the token the oracle stops at
+    slow = oracle.Tokens(text, 2)
+    want = outcome(lambda: oracle.parse_conj(slow))
+    got = outcome(lambda: _read_conj(text, 0, len(text), 2))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        pairs, after = got
+        assert pairs == want
+        assert (after and (after.group(1), after.start(1) + 1)) == (slow.peek() and (slow.peek(), slow.col()))
 
 
 @pytest.mark.parametrize("text", MALFORMED_ATOMS)
@@ -259,3 +274,152 @@ def test_letter_names_first_undeclared_curve(data):
     else:
         assert not undeclared
         assert system.letter(base, conj) == want
+
+
+# --- bracket contents against the oracle, in every reader ---------------------
+
+# pieces of a bracket's contents: names, exponents (zero, Unicode, past
+# the digit limit, summing past MAX_WORD_LETTERS), "^" without one, and
+# token characters outside the atom token's class
+PIECES = ["c1", "c2", "c3", "zz", "^", "^2", "^-1", "^ -1", "^0", "^-0", "- 1", "-", "7",
+          "\u0663", "^\u0663", "^-\u0968", "=>", "+", "(", ")", "?", ":", "@", "=", "[", "]",
+          "^" + "9" * 5000, f"^{MAX_WORD_LETTERS}", f"^-{MAX_WORD_LETTERS // 2 + 1}"]
+# separators, Unicode whitespace among them; "" may merge two pieces
+SEPS = [" ", " ", "", "\t", "\x1f", "\xa0", "\u3000"]
+# what follows the contents: a base name, a "]" with none, or nothing
+TAILS = ["]c1", "] c2", "]\u3000c3", "]zz", "]c1^2", "]", "", "]5", "]]c1", "][c2]c3", "](c1)^2"]
+
+
+@st.composite
+def bracket_atoms(draw):
+    pieces = draw(st.lists(st.sampled_from(PIECES), max_size=5))
+    contents = "".join(piece + draw(st.sampled_from(SEPS)) for piece in pieces)
+    return "[" + contents + draw(st.sampled_from(TAILS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(atom=bracket_atoms(), before=st.sampled_from(["", "c1 ", "[c1]c2 "]))
+@example(atom="[c1^\u0663\u3000c2^-1\xa0]\u3000c3", before="")
+@example(atom=f"[c2^{MAX_WORD_LETTERS} c1^]c3", before="")
+@example(atom=f"[c2^{MAX_WORD_LETTERS} c1]c3", before="c1 ")
+@example(atom="[c1 + c2]c3", before="")
+@example(atom="[c1 => c2]c3", before="")
+@example(atom="[c1 [c2]c3]c4", before="")
+@example(atom="[c1", before="c1 ")
+@example(atom="[c1]", before="c1 ")
+@example(atom="[]c1", before="")
+def test_bracket_contents_fail_as_the_oracle_does(atom, before):
+    """parse_word, and parse_system on a word line and a relation line."""
+    check_word(before + atom)
+    check_file(HEAD + f"word w = {before}{atom} c1\n")
+    check_file(HEAD + f"commute r : {atom} c5\nword w = c1\n")
+    check_file(HEAD + f"lantern L : c1 {atom} c3 c5 => c2 c4 c1 x\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(atom=bracket_atoms())
+@example(atom="[c1^\u0663\u3000c2^-1\xa0c3^ 2]")
+@example(atom="[c1 c2^")
+def test_bracket_contents_as_a_conj_step_fail_as_the_oracle_does(atom):
+    check_scripts(f"script s on rho:\n  conj {atom[1:]}\n  rot 1\n")
+
+
+def test_an_earlier_second_pass_error_wins_over_a_later_bracket():
+    """A "+" in brackets is a token character outside the atom's class:
+    its line tokenizes, and its error is found in the second pass, after
+    the error of an earlier word line.  An unrecognized character is a
+    first-pass error, and wins."""
+    text = HEAD + "word w1 = c1 )\nword w2 = [c1 {} c2]c3\n"
+    assert check_file(text.format("+"))[1:] == ("line 17, col 14: unbalanced ')' (at ')')", 17, 14, ")")
+    assert check_file(text.format("$"))[1:] == (
+        "line 18, col 15: unrecognized token (at '$')", 18, 15, "$")
+    assert check_file(HEAD + "word w2 = [c1 + c2]c3\n")[1:] == (
+        "line 17, col 15: expected ']' (at '+')", 17, 15, "+")
+
+
+@pytest.mark.parametrize("line, error", [
+    ("word w = [c1 c2]c3 )", "line 17, col 20: unbalanced ')' (at ')')"),
+    ("word w = [c1 c2]c3 [c1]c2^[c3]c4", "line 17, col 27: word powers must be >= 1 (at '[')"),
+    ("word [c1]c2 = c1", "line 17, col 6: expected name (at '[')"),
+    ("lantern L : [c1]c2 c3 c4 c5 => c1 c2 c3 x", "line 17, col 41: trailing input (at 'x')"),
+    ("commute r : c1 c3 [c2]c4", "line 17, col 19: trailing input (at '[')"),
+    ("chain2 r : c1 c2 [c3]c4 => c5", "line 17, col 18: expected '=>' (at '[')"),
+    ("disjoint [c1]c2 c3", "line 17, col 13: trailing input (at ']')"),
+])
+def test_an_error_after_an_atom_names_the_oracles_column(line, error):
+    got = check_file(HEAD + line + "\n")
+    assert got[1] == error
+
+
+@pytest.mark.parametrize("step, error", [
+    ("conj c1 [c2]c3", "line 2, col 11: trailing input (at '[')"),
+    ("conj c1^ [c2]c3", "line 2, col 12: expected integer exponent (at '[')"),
+    ("conj c1 c2^-1 )", "line 2, col 17: trailing input (at ')')"),
+])
+def test_a_bad_conj_step_names_the_oracles_column(step, error):
+    assert check_scripts(f"script s on rho:\n  {step}\n")[1] == error
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_conj_step_and_atom_read_the_same_pairs(data):
+    """The script step and the atom [W]c pass the same pairs on, and so
+    does the oracle's token walk."""
+    toks = data.draw(conjugator_texts(names=st.sampled_from(DECLARED)))
+    text = "".join(tok + data.draw(st.sampled_from([" ", "\t", "\u3000"])) for tok in toks)
+    read = []
+    with mock.patch.object(parser, "_read_conj", lambda *a: read.append(_read_conj(*a)) or read[-1]):
+        parse_scripts(f"script s on w:\n  conj {text}\n", SYSTEM)
+        parse_word(SYSTEM, f"[{text}]c1")
+    (step, _), (atom, close) = read
+    assert step == atom == oracle.parse_conj(oracle.Tokens(text, 1))
+    assert close.group(1) == "]"
+
+
+@pytest.mark.parametrize("parse", [
+    lambda text: parse_system(HEAD + f"word w = {text}\nword v = c1 {text}\n"),
+    lambda text: parse_word(SYSTEM, text),
+])
+def test_a_repeated_atom_text_is_read_once_per_parse(monkeypatch, parse):
+    calls = []
+    monkeypatch.setattr(parser, "_read_conj", lambda *a: calls.append(a) or _read_conj(*a))
+    text = " ".join(["[c1 c2^-1 c3]c4"] * 4000)
+    parse(text)
+    assert len(calls) == 1
+    parse(text)
+    assert len(calls) == 2
+
+
+def test_atom_token_columns_under_unicode_whitespace():
+    toks = _Tokens("\tword\x1cw = [c1^-2\u3000c3]\xa0c2 => \u0663  ", 4, pattern=_TOKEN)
+    assert toks.items == [("word", 2), ("w", 7), ("=", 9), ("[c1^-2\u3000c3]\xa0c2", 11), ("=>", 25),
+                          ("\u0663", 28)]
+    assert _read_atom(toks.toks[3], 0, 4) == ("c2", [("c1", -2), ("c3", 1)])
+
+
+def split_atoms(items):
+    """Token items with each atom token split into the oracle's tokens."""
+    return [(tok, col + sub - 1) for whole, col in items
+            for tok, sub in oracle.Tokens(whole, 0).items]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=token_lines | bracket_atoms(), line=st.integers(1, 10**6))
+@example(text="[c1 c2]c3 [c1 (c2)]c3 [c1]]c2 [c1 [c2]c3]c4 [c1]5 [c1", line=1)
+def test_atom_tokens_split_into_the_oracles_tokens(text, line):
+    """The atom token changes how a line's tokens group, never what they
+    are, where they stand, or which character fails the first pass."""
+    try:
+        want = oracle.Tokens(text, line).items
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _Tokens(text, line, pattern=_TOKEN)
+        assert (got.value.line, got.value.col, got.value.token, str(got.value)) == (
+            exc.line, exc.col, exc.token, str(exc))
+        return
+    items = _Tokens(text, line, pattern=_TOKEN).items
+    assert split_atoms(items) == want
+    # an atom token is "[", its contents in the class, "]" and a base name
+    for tok, _ in items:
+        if tok[0] == "[" and tok != "[":
+            assert re.fullmatch(r"\[[A-Za-z0-9_\d^\s-]*\]\s*[A-Za-z_][A-Za-z0-9_]*", tok)
