@@ -28,9 +28,10 @@ from a system file to a validated system.
 
 A line is read by one ``findall``.  On ``word`` and relation lines an
 atom ``[W]c`` whose W holds only name characters, digits, ``^``, ``-``
-and whitespace is one token, and each distinct atom text is read and
-normalized once per parse, by a memo keyed on that text; on a miss one
-``findall`` reads W, and the script ``conj`` step reads its CONJ alike.
+and whitespace is one token.  A parse's memo keeps each distinct atom
+text's letter and each distinct W's twists, which ``_read_conj`` reads
+with one ``findall`` as (name, +-1) twists, noting whether every name is
+declared; the script ``conj`` step reads its CONJ alike.
 
 Script files hold derivations:
 
@@ -51,7 +52,7 @@ from collections.abc import Iterator
 from .errors import InvalidSystem, ParseError, UnknownCurve
 from .moves import Conj, DerivationScript, Elem, Rotate, Subst
 from .system import RELATION_KINDS, CurveSystem, make_relation, validate_system
-from .words import MAX_WORD_LETTERS, Letter, Word
+from .words import MAX_WORD_LETTERS, Letter, Pair, Word
 
 # Largest genus a system may declare.  Every class is a vector of 2g
 # integers and every image a 2g x 2g matrix, so a genus of 10^10 would
@@ -142,8 +143,9 @@ _BASIS = re.compile(r"([ab])(\d+)$")
 # the statements that hold atoms, read after all others
 _ATOM_STATEMENTS = frozenset(("word", *RELATION_KINDS))
 
-# an atom's token, a plain atom's name or a conjugated atom's text, to its letter
-_Memo = dict[str, Letter]
+# an atom's token, a plain atom's name or a conjugated atom's text, to its
+# letter; and a conjugator's "[W]" to its twists and declared flag
+_Memo = dict[str, "Letter | tuple[list[Pair], bool]"]
 
 
 def _is_name(tok: str | None) -> bool:
@@ -213,43 +215,48 @@ def _parse_class(toks: _Tokens, genus: int) -> tuple[int, ...] | None:
     return tuple(vec)
 
 
-def _read_conj(text: str, pos: int, end: int, line: int) -> tuple[list[tuple[str, int]], re.Match | None]:
-    """The (name, exponent) pairs in ``text[pos:end]``, read by one ``findall``, and the
-    ``_PLAIN_TOKEN`` match where they stop: at ``end``, unless a character that starts
-    no pair comes first.  An error names a ``_PLAIN_TOKEN`` match's column and token."""
+def _read_conj(text: str, pos: int, end: int, line: int, curves: dict) -> tuple[list[Pair], re.Match | None, bool]:
+    """The twists in ``text[pos:end]`` by one ``findall``, each exponent expanded to (name, +-1)
+    twists once the twist cap admits it; the ``_PLAIN_TOKEN`` match where they stop, ``end``
+    unless a character that starts no pair comes first; and whether ``curves`` holds every
+    name.  An error names a ``_PLAIN_TOKEN`` match's column and token."""
     items = _PAIR.findall(text, pos, end)
-    out: list[tuple[str, int]] = []
-    twists, stop = 0, end
+    twists = []
+    declared, stop, k = True, end, 0
     for name, digits, junk in items:
         if junk:
-            stop = next(m.start(3) for m in _PAIR.finditer(text, pos, end) if m.group(3))
+            stop = [*_PAIR.finditer(text, pos, end)][k].start(3)
             break
+        k += 1
+        declared = declared and name in curves
         try:
             exp = int(digits) if digits else 1
         except ValueError:
             exp = _int(digits, line)  # past the digit limit: raises its ParseError
         if exp == 0:
             raise ParseError("conjugator exponent must be nonzero", line)
-        twists += abs(exp)
         # a name without an exponent fails first on a "^" right after it
-        if twists > MAX_WORD_LETTERS and (digits or items[len(out) + 1 :][:1] != [("", "", "^")]):
+        if len(twists) + abs(exp) > MAX_WORD_LETTERS and (digits or items[k : k + 1] != [("", "", "^")]):
             raise ParseError(f"conjugator expands past {MAX_WORD_LETTERS} twists", line)
-        out.append((name, exp))
+        if exp == 1 or exp == -1:
+            twists.append((name, exp))
+        else:
+            twists += [(name, 1 if exp > 0 else -1)] * abs(exp)
     after = _PLAIN_TOKEN.match(text, stop)
-    if out and after and after.group(1) == "^" and not items[len(out) - 1][1]:
+    if k and after and after.group(1) == "^" and not items[k - 1][1]:
         if (tok := _PLAIN_TOKEN.match(text, after.end())) is None:
             raise ParseError("unexpected end of line", line)
         raise ParseError("expected integer exponent", line, tok.start(1) + 1, tok.group(1))
-    if not out:
+    if not k:
         raise ParseError("empty conjugator", line, *((after.start(1) + 1, after.group(1)) if after else ()))
-    return out, after
+    return twists, after, declared
 
 
-def _read_atom(text: str, pos: int, line: int) -> tuple[str, list[tuple[str, int]]]:
-    """The base name and conjugator of the atom whose "[" is ``text[pos]``;
-    its pairs stop at the first "]" after it, if not before."""
+def _read_atom(text: str, pos: int, line: int, curves: dict) -> tuple[str, list[Pair], bool]:
+    """The base name of the atom whose "[" is ``text[pos]``, and what ``_read_conj``
+    reads of its conjugator, which stops at the first "]" after it, if not before."""
     end = text.find("]", pos)
-    conj, close = _read_conj(text, pos + 1, end if end >= 0 else len(text), line)
+    twists, close, declared = _read_conj(text, pos + 1, end if end >= 0 else len(text), line, curves)
     if close is None:
         raise ParseError("unexpected end of line, expected ']'", line)
     if close.group(1) != "]":
@@ -258,32 +265,34 @@ def _read_atom(text: str, pos: int, line: int) -> tuple[str, list[tuple[str, int
         raise ParseError("unexpected end of line", line)
     if not _is_name(base.group(1)):
         raise ParseError("expected curve name after conjugator", line, base.start(1) + 1, base.group(1))
-    return base.group(1), conj
+    return base.group(1), twists, declared
 
 
 def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
-    """The next atom's letter.  ``memo`` holds the atoms already read in
-    this parse, keyed on the atom's token, a name or a conjugated atom's
-    text, so a repeated atom costs one lookup; it stores only atoms that parse."""
+    """The next atom's letter.  ``memo`` holds this parse's atoms, keyed on the token (a name
+    or a conjugated atom's text), so a repeated atom costs one lookup, and their conjugators,
+    keyed on "[W]", so atoms that share W read it once; it stores only what reads."""
     seq, i = toks.toks, toks.i
     tok = seq[i] if i < len(seq) else toks.next()
     toks.i = i + 1
     letter = memo.get(tok)
     if letter is not None:
         return letter
+    base, twists, declared = tok, (), True
     if tok[0] == "[":
-        try:
-            base, conj = _read_atom(tok, 0, toks.line)
-        except ParseError:
-            # raise again from the line, for its columns; a lone "[" starts
-            # an atom that is not one token, so it always fails
-            base, conj = _read_atom(toks.text, toks.last_col() - 1, toks.line)
-    elif _is_name(tok):
-        base, conj = tok, []
-    else:
+        key = tok[: tok.find("]") + 1]  # no atom token ends in "]"
+        if key not in memo:
+            try:
+                memo[key] = _read_atom(tok, 0, toks.line, system._curves)[1:]
+            except ParseError:
+                # again from the line, for its columns; a lone "[" always fails there
+                _read_atom(toks.text, toks.last_col() - 1, toks.line, {})
+                raise
+        base, (twists, declared) = tok[len(key) :].lstrip(), memo[key]
+    elif not _is_name(tok):
         raise ParseError("expected curve name", toks.line, toks.last_col(), tok)
     try:
-        letter = memo[tok] = system.letter(base, conj)
+        letter = memo[tok] = system._twisted(base, twists, declared)
     except UnknownCurve as exc:
         raise ParseError(str(exc), toks.line) from exc
     return letter
@@ -306,7 +315,7 @@ def _extend(letters: list[Letter], unit: list[Letter], power: int, line: int) ->
 
 def _parse_word_expr(toks: _Tokens, system: CurveSystem, memo: _Memo, depth: int = 0) -> list[Letter]:
     seq, n = toks.toks, len(toks.toks)
-    letters: list[Letter] = []
+    letters = []
     while toks.i < n:
         tok = seq[toks.i]
         if tok == ")":
@@ -361,8 +370,7 @@ def _statements(text: str, atom_statements: frozenset = frozenset()) -> Iterator
 
 def parse_system(text: str, source: str = "<string>") -> CurveSystem:
     """Parse a system file; raises ParseError with line/column on errors."""
-    system: CurveSystem | None = None
-    pending: list[tuple[int, _Tokens, str]] = []
+    system, pending = None, []
     for lineno, _, toks, stmt in _statements(text, _ATOM_STATEMENTS):
         if stmt == "genus":
             if system is not None:
@@ -412,8 +420,8 @@ def parse_system(text: str, source: str = "<string>") -> CurveSystem:
     return system
 
 
-def _resolve(system: CurveSystem, pending: list[tuple[int, _Tokens, str]]) -> None:
-    """Add the pending relations and words to the system, in file order.
+def _resolve(system: CurveSystem, pending: list) -> None:
+    """Add the pending (line number, tokens, statement) relations and words, in file order.
 
     They resolve after all curves exist, and after every disjoint and
     meet1 fact, so an atom text has one letter per parse.
@@ -440,17 +448,12 @@ def _resolve(system: CurveSystem, pending: list[tuple[int, _Tokens, str]]) -> No
 
 def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> dict[str, DerivationScript]:
     """Parse a script file against an already-loaded system."""
-    sources: dict[str, str] = {}
-    expects: dict[str, str] = {}
-    steps: dict[str, list] = {}
-    current: str | None = None
+    sources, expects, steps, current = {}, {}, {}, None
     for lineno, indented, toks, stmt in _statements(text):
         if stmt == "script":
             current = _name(toks)
             if current in steps:
-                raise ParseError(
-                    f"script {current!r} already declared", lineno, toks.last_col(), current
-                )
+                raise ParseError(f"script {current!r} already declared", lineno, toks.last_col(), current)
             toks.next("on")
             src = toks.next()
             toks.next(":")
@@ -461,6 +464,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
             continue
         if current is None or not indented:
             raise ParseError("script steps must be indented under a script header", lineno, token=stmt)
+        add = steps[current].append
         if stmt == "elem":
             tok, direction = toks.args(2)
             idx = _int(tok, lineno)
@@ -468,25 +472,21 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError("elem needs a positive index", lineno, token=tok)
             if direction not in ("L", "R"):
                 raise ParseError("elem direction must be L or R", lineno, token=direction)
-            steps[current].append(Elem(idx, direction))
+            add(Elem(idx, direction))
         elif stmt == "conj":
-            pairs, rest = _read_conj(toks.text, _PLAIN_TOKEN.match(toks.text).end(), len(toks.text), lineno)
+            twists, rest, _ = _read_conj(toks.text, _PLAIN_TOKEN.match(toks.text).end(), len(toks.text), lineno, {})
             if rest:
                 raise ParseError("trailing input", lineno, rest.start(1) + 1, rest.group(1))
             try:
-                letters = []
-                for name, exp in pairs:
-                    sign = 1 if exp > 0 else -1
-                    letters.extend([(system.letter(name), sign)] * abs(exp))
+                add(Conj(system.word(twists)))
             except UnknownCurve as exc:
                 raise ParseError(str(exc), lineno) from exc
-            steps[current].append(Conj(Word(system, letters)))
         elif stmt == "rot":
             (tok,) = toks.args(1)
             k = _int(tok, lineno)
             if not k:
                 raise ParseError("rot needs a nonzero integer", lineno, token=tok)
-            steps[current].append(Rotate(k))
+            add(Rotate(k))
         elif stmt == "subst":
             rel = toks.next()
             toks.next("@")
@@ -500,7 +500,7 @@ def parse_scripts(text: str, system: CurveSystem, source: str = "<string>") -> d
                 raise ParseError("subst needs a positive position", lineno, token=tok)
             if direction not in ("fwd", "rev"):
                 raise ParseError("subst direction must be fwd or rev", lineno, token=direction)
-            steps[current].append(Subst(rel, pos, direction))
+            add(Subst(rel, pos, direction))
         elif stmt == "expect":
             (name,) = toks.args(1)
             if current in expects:

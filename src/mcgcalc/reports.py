@@ -56,6 +56,9 @@ class InvariantReport(Frozen):
         "genus", "n", "census", "e", "sigma", "h1", "b2plus", "b2minus", "b1", "flags",
         "annotations",
     )
+    # frozen, but ``flags`` is a dict, which has no hash: the report
+    # declares none, so ``hash`` refuses it at once, naming its class
+    __hash__ = None
 
     def __init__(self, genus: int, n: int, census: Census, e: int, sigma: int | None,
                  h1: sp.AbelianGroup | None, b2plus: int | None = None,

@@ -180,9 +180,7 @@ class CurveSystem:
         """
         conj = tuple(conj)
         if not conj:
-            # a plain letter is its own normal form
-            self._require(base)
-            return Letter((), base)
+            return self._twisted(base, conj)
         self._require_letter(base, conj)
         pairs: list[tuple[str, int]] = []
         for name, exp in conj:
@@ -193,21 +191,41 @@ class CurveSystem:
                 pairs.append((name, sign))
             else:
                 pairs += [(name, sign)] * abs(exp)
-        return Letter(*normalize_conjugator(self, pairs, base))
+        return self._twisted(base, pairs)
+
+    def _twisted(self, base: str, twists: Sequence[tuple[str, int]], declared: bool = True) -> Letter:
+        """The normalized letter over ``base`` whose conjugator is ``twists``,
+        each (name, +-1) with its exponent already expanded.
+
+        ``declared`` says that every twist's name is declared; only when
+        it is false, or the base is not declared, are the names walked,
+        base first, so that UnknownCurve names the first undeclared curve.
+        ``twists`` is read and not changed, so a caller may hand one list
+        over for several bases.
+        """
+        if not declared or base not in self._curves:
+            self._require_letter(base, twists)
+        if not twists:
+            # a plain letter is its own normal form
+            return Letter((), base)
+        return Letter(*normalize_conjugator(self, twists, base))
 
     def word(self, letters: Iterable) -> Word:
-        """A word from letters, (letter, sign) pairs, or curve names."""
+        """A word from letters, (letter, sign) pairs, or curve names.
+
+        Each distinct name's letter is built once per call: a script's
+        ``conj`` step hands over one (name, +-1) twist per letter.
+        """
         out = []
+        named: dict[str, Letter] = {}
         for item in letters:
             if isinstance(item, Letter):
                 out.append((item, 1))
-            elif isinstance(item, str):
-                out.append((self.letter(item), 1))
-            else:
-                letter, sign = item
-                if isinstance(letter, str):
-                    letter = self.letter(letter)
-                out.append((letter, sign))
+                continue
+            letter, sign = (item, 1) if isinstance(item, str) else item
+            if isinstance(letter, str):
+                letter = named.get(letter) or named.setdefault(letter, self.letter(letter))
+            out.append((letter, sign))
         return Word(self, out)
 
     def empty_word(self) -> Word:

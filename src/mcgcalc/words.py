@@ -87,12 +87,22 @@ def normalize_conjugator(system, pairs: Iterable[Pair], base: str) -> tuple[tupl
 
     Returns the reduced conjugator and the (possibly rewritten) base.
     After a drop or a sort the loop restarts only when ``_settled`` says
-    an earlier rule could fire again (see the module docstring).
+    an earlier rule could fire again (see the module docstring).  The
+    first pass reads ``pairs`` as handed over, without a copy, and no
+    pass changes it.
     """
-    disjoint_of = system._disjoint_of
-    conj = list(pairs)
+    disjoint_of, meet1_of = system._disjoint_of, system._meet1_of
+    conj = pairs
     for _ in range(100000):
-        conj = _free_reduce_pairs(conj)
+        # free reduction (``_free_reduce_pairs``, inlined: most letters
+        # settle in one pass), into a new list
+        reduced: list[Pair] = []
+        for twist in conj:
+            if reduced and reduced[-1][1] == -twist[1] and reduced[-1][0] == twist[0]:
+                reduced.pop()
+            else:
+                reduced.append(twist)
+        conj = reduced
         # the tail rules keep conj freely reduced, so they run to a fixed
         # point within the pass; a pass per firing would cost O(n) each
         while conj:
@@ -100,7 +110,7 @@ def normalize_conjugator(system, pairs: Iterable[Pair], base: str) -> tuple[tupl
                 conj.pop()
             elif (
                 len(conj) >= 2
-                and system.is_meet1(conj[-1][0], base)
+                and base in meet1_of.get(conj[-1][0], _NO_NAMES)
                 and conj[-2] == (base, conj[-1][1])
             ):
                 # t_a^e(b) = t_b^-e(a); keep only when the new twist cancels.
@@ -112,10 +122,10 @@ def normalize_conjugator(system, pairs: Iterable[Pair], base: str) -> tuple[tupl
         # twist goes; no name is disjoint from itself, so a repeat stays
         kept: list[Pair] = []
         support = {base}
-        for name, sign in reversed(conj):
-            if not support <= disjoint_of.get(name, _NO_NAMES):
-                kept.append((name, sign))
-                support.add(name)
+        for twist in reversed(conj):
+            if not support <= disjoint_of.get(twist[0], _NO_NAMES):
+                kept.append(twist)
+                support.add(twist[0])
         if len(kept) < len(conj):
             conj = kept[::-1]
             if not _settled(system, conj, base):

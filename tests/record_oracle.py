@@ -3,7 +3,8 @@ oracle for the plain ``__slots__`` classes that replaced them.
 
 Each class below is copied verbatim from the dataclass definition in
 ``words``, ``symplectic``, ``system``, ``moves`` or ``reports``, as it
-was before the package stopped importing ``dataclasses`` at start-up.
+was before the package stopped importing ``dataclasses`` at start-up,
+except that ``InvariantReport`` declares no hash, as its record does.
 ``tests/test_records.py`` holds each record to its dataclass on repr,
 equality, hashing, defaults, immutability, ``__match_args__``,
 ``as_dict``, copy and pickle.
@@ -214,6 +215,9 @@ class InvariantReport:
     b1: Optional[int] = None
     flags: dict = field(default_factory=dict)
     annotations: tuple[str, ...] = ()
+    # flags is a dict, so the report has no hash to give; without this
+    # line the generated hash fails partway through the fields
+    __hash__ = None
 
     def as_dict(self) -> dict:
         return {

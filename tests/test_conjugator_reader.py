@@ -7,8 +7,10 @@ and one pattern reads its conjugator.  ``parse_word``, ``parse_system``
 oracle's letters, systems and scripts, or raise a ``ParseError`` with
 the oracle's message, line, column and token, on well-formed and
 malformed bracket contents.  The memo may not outlive one parse, a
-repeated atom text is read once per parse, and ``CurveSystem.letter``
-must still name the first undeclared curve.
+repeated atom text and a conjugator W that atoms over several bases
+share are read once per parse, a W that fails to read is not kept, each
+distinct atom text is normalized once, and ``CurveSystem.letter`` must
+still name the first undeclared curve.
 """
 
 import re
@@ -19,16 +21,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcgcalc import parser
+from mcgcalc import system as system_module
 from mcgcalc.errors import ParseError, UnknownCurve
 from mcgcalc.parser import (
     _TOKEN, MAX_WORD_LETTERS, _read_atom, _read_conj, _Tokens, parse_scripts, parse_system, parse_word
 )
 from mcgcalc.system import CurveSystem
 from mcgcalc.words import Word
+from tests import normalize_oracle
 from tests import parser_oracle as oracle
 from tests.test_incremental_replay import chain_text
 from tests.test_letter_layer import lines as token_lines
 from tests.test_statement_reader import check_scripts, check_system as check_file
+from tests.test_statement_reader import outcome as statement_outcome, summary
 
 # the genus-2 chain c1..c5 with its meet1 and disjoint facts, no words
 HEAD = chain_text(2).rsplit("word ", 1)[0]
@@ -166,6 +171,11 @@ def check_system(lines):
     assert got == outcome(expected)
 
 
+def twists(pairs):
+    """The oracle's (name, exponent) pairs as (name, +-1) twists."""
+    return [(name, 1 if exp > 0 else -1) for name, exp in pairs for _ in range(abs(exp))]
+
+
 def check_step(text):
     script = f"script s on w:\n  conj {text}\n"
     got = outcome(lambda: parse_scripts(script, SYSTEM)["s"].steps[0].word.letters)
@@ -179,12 +189,13 @@ def check_step(text):
     # the reader stops at the token the oracle stops at
     slow = oracle.Tokens(text, 2)
     want = outcome(lambda: oracle.parse_conj(slow))
-    got = outcome(lambda: _read_conj(text, 0, len(text), 2))
+    got = outcome(lambda: _read_conj(text, 0, len(text), 2, SYSTEM._curves))
     if isinstance(want, tuple):
         assert got == want
     else:
-        pairs, after = got
-        assert pairs == want
+        read, after, declared = got
+        assert read == twists(want)
+        assert declared == all(name in DECLARED for name, _ in want)
         assert (after and (after.group(1), after.start(1) + 1)) == (slow.peek() and (slow.peek(), slow.col()))
 
 
@@ -241,9 +252,9 @@ def test_repeated_atom_is_one_letter(monkeypatch):
     """A repeated atom text, on one line or across word and relation
     lines, is read and normalized once and yields the same Letter."""
     calls = []
-    letter = CurveSystem.letter
-    monkeypatch.setattr(CurveSystem, "letter",
-                        lambda self, base, conj=(): calls.append(base) or letter(self, base, conj))
+    twisted = CurveSystem._twisted
+    monkeypatch.setattr(CurveSystem, "_twisted",
+                        lambda self, base, *a: calls.append(base) or twisted(self, base, *a))
     s = parse_system(HEAD + "word u = [c2^2 c3]c1 c4 [c2^2 c3]c1 c4^2\n"
                             "commute r : [c2^2 c3]c1 c4\n"
                             "word v = [c2^2 c3]c1\n")
@@ -363,38 +374,135 @@ def test_a_bad_conj_step_names_the_oracles_column(step, error):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_conj_step_and_atom_read_the_same_pairs(data):
-    """The script step and the atom [W]c pass the same pairs on, and so
-    does the oracle's token walk."""
+    """The script step and the atom [W]c pass the same twists on, the
+    oracle's token walk's pairs expanded."""
     toks = data.draw(conjugator_texts(names=st.sampled_from(DECLARED)))
     text = "".join(tok + data.draw(st.sampled_from([" ", "\t", "\u3000"])) for tok in toks)
     read = []
     with mock.patch.object(parser, "_read_conj", lambda *a: read.append(_read_conj(*a)) or read[-1]):
         parse_scripts(f"script s on w:\n  conj {text}\n", SYSTEM)
         parse_word(SYSTEM, f"[{text}]c1")
-    (step, _), (atom, close) = read
-    assert step == atom == oracle.parse_conj(oracle.Tokens(text, 1))
-    assert close.group(1) == "]"
+    (step, _, _), (atom, close, declared) = read
+    assert step == atom == twists(oracle.parse_conj(oracle.Tokens(text, 1)))
+    assert close.group(1) == "]" and declared
 
 
 @pytest.mark.parametrize("parse", [
-    lambda text: parse_system(HEAD + f"word w = {text}\nword v = c1 {text}\n"),
+    lambda text: parse_system(HEAD + f"word w = {text}\nword v = c1 {text}\n"
+                                     f"commute r : [c1 c2^-1 c3]c5 [c1 c2^-1 c3]c5\n"),
     lambda text: parse_word(SYSTEM, text),
 ])
 def test_a_repeated_atom_text_is_read_once_per_parse(monkeypatch, parse):
+    """A repeated atom text, and a conjugator W that atoms over other
+    bases share, is read once per parse."""
+    for bases in (["c4"], ["c4", "c5", "c4", "c2"]):
+        calls = []
+        monkeypatch.setattr(parser, "_read_conj", lambda *a: calls.append(a) or _read_conj(*a))
+        text = " ".join(f"[c1 c2^-1 c3]{base}" for base in bases * (4000 // len(bases)))
+        parse(text)
+        assert len(calls) == 1
+        parse(text)
+        assert len(calls) == 2
+
+
+# --- atoms that share a conjugator, against both oracles ------------------------
+
+# pieces of a conjugator W that several atoms share: declared and
+# undeclared names with and without exponents; and what makes W fail: a
+# character that starts no pair, a zero exponent, a "^" without one, a
+# numeral past the digit limit, exponents past the twist cap, or no pair
+W_PIECES = ["c1", "c2", "c3", "c4", "c5", "zz", "c1^-2", "c2^3", "c4^-1", "zz^2"]
+W_FAULTS = ["+", "5", "-", "c1^0", "c3^", "c2^" + "9" * 5000, f"c2^{MAX_WORD_LETTERS + 1}",
+            "c2^60000 c3^-60000", ""]
+
+
+@st.composite
+def shared_atoms(draw):
+    """Atoms ``[W]b`` over one W, well formed or not, and two to four bases,
+    declared or not, with plain atoms, in random order."""
+    pieces = draw(st.lists(st.sampled_from(W_PIECES), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(W_FAULTS)))
+    w = " ".join(pieces)
+    bases = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=4))
+    atoms = [f"[{w}]{base}" for base in bases] + draw(st.lists(st.sampled_from(NAMES), max_size=2))
+    return draw(st.permutations(atoms))
+
+
+def check_against_oracles(got, want):
+    """``got()`` against ``want()`` read by ``tests/parser_oracle.py`` with the
+    letters normalized by ``tests/normalize_oracle.py``: equal results, or
+    every field of the same error."""
+    with mock.patch.object(oracle, "normalize_conjugator", normalize_oracle.normalize_conjugator):
+        expected = statement_outcome(want)
+    assert statement_outcome(got) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms=shared_atoms(), data=st.data())
+@example(atoms=["[c1 c2^-1]c3", "[c1 c2^-1]zz", "[c1 c2^-1]c4"], data=None)
+@example(atoms=["[c1 zz]c3", "c2", "[c1 zz]c4"], data=None)
+@example(atoms=["[c1 c3^0]c2", "[c1 c3^0]c4"], data=None)
+def test_atoms_that_share_a_conjugator_match_the_oracles(atoms, data):
+    """One W over several bases on a ``parse_word`` line, and spread over
+    word and relation lines of one file in random order."""
+    text = " ".join(atoms)
+    check_against_oracles(lambda: parse_word(SYSTEM, text, 3).letters,
+                          lambda: Word(SYSTEM, oracle.word_body(oracle.Tokens(text, 3), SYSTEM)).letters)
+    lines = [f"word w{k} = {atom}" for k, atom in enumerate(atoms)]
+    lines += [f"commute r{k} : {atom} {atom}" for k, atom in enumerate(atoms)]
+    if data is not None:
+        lines = data.draw(st.permutations(lines))
+    source = HEAD + "\n".join(lines) + "\n"
+    check_against_oracles(lambda: summary(parse_system(source)), lambda: summary(oracle.parse_system(source)))
+
+
+def test_a_failed_conjugator_read_is_not_stored(monkeypatch):
+    """A W that fails to read leaves the memo as it was and is read again,
+    token and line, by the next atom that holds it; a W that reads is kept
+    even when its atom's base is undeclared."""
     calls = []
     monkeypatch.setattr(parser, "_read_conj", lambda *a: calls.append(a) or _read_conj(*a))
-    text = " ".join(["[c1 c2^-1 c3]c4"] * 4000)
-    parse(text)
-    assert len(calls) == 1
-    parse(text)
-    assert len(calls) == 2
+    memo = {}
+    for _ in range(2):
+        toks = _Tokens("[c1 c3^0]c2 [c1 c3^0]c4", 3, pattern=_TOKEN)
+        with pytest.raises(ParseError, match="line 3: conjugator exponent must be nonzero"):
+            parser._parse_atom(toks, SYSTEM, memo)
+        assert memo == {}
+    assert len(calls) == 4
+    toks = _Tokens("[c1 c3]zz [c1 c3]c2", 3, pattern=_TOKEN)
+    with pytest.raises(ParseError, match="line 3: curve 'zz' is not declared"):
+        parser._parse_atom(toks, SYSTEM, memo)
+    assert memo == {"[c1 c3]": ([("c1", 1), ("c3", 1)], True)}
+    assert parser._parse_atom(toks, SYSTEM, memo) == SYSTEM.letter("c2", [("c1", 1), ("c3", 1)])
+    assert len(calls) == 5
+
+
+def test_each_distinct_atom_text_is_normalized_once_through_the_system_module(monkeypatch):
+    """The parser normalizes through the name ``mcgcalc.system`` binds, where
+    the benchmark's tracer wraps it, once per distinct conjugated atom text;
+    a plain atom is not normalized."""
+    normalized = []
+    real = system_module.normalize_conjugator
+
+    def counting(system, pairs, base):
+        normalized.append(base)
+        return real(system, pairs, base)
+
+    monkeypatch.setattr(system_module, "normalize_conjugator", counting)
+    s = parse_system(HEAD + "word u = [c1 c2^-1]c3 c4 [c1 c2^-1]c3 [c1 c2^-1]c5 c4\n"
+                            "commute r : [c1 c2^-1]c3 [c1 c2^-1]c3\n"
+                            "word v = [c1 c2^-1]c5 [c2]c1\n")
+    assert normalized == ["c3", "c5", "c1"]
+    parse_word(s, "[c1 c2^-1]c3 [c1 c2^-1]c3 c4")
+    assert normalized == ["c3", "c5", "c1", "c3"]
 
 
 def test_atom_token_columns_under_unicode_whitespace():
     toks = _Tokens("\tword\x1cw = [c1^-2\u3000c3]\xa0c2 => \u0663  ", 4, pattern=_TOKEN)
     assert toks.items == [("word", 2), ("w", 7), ("=", 9), ("[c1^-2\u3000c3]\xa0c2", 11), ("=>", 25),
                           ("\u0663", 28)]
-    assert _read_atom(toks.toks[3], 0, 4) == ("c2", [("c1", -2), ("c3", 1)])
+    assert _read_atom(toks.toks[3], 0, 4, SYSTEM._curves) == ("c2", [("c1", -1), ("c1", -1), ("c3", 1)], True)
 
 
 def split_atoms(items):

@@ -10,7 +10,9 @@ commuting twists, and pin that the conjugated-atom reader copies a
 line's tokens once.
 """
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -137,21 +139,32 @@ def test_the_form_depends_on_the_order_of_commuting_twists(g2):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Passes of the routine and of the oracle: each starts with one free reduction."""
+    """Passes of the routine and of the oracle.
+
+    An oracle pass starts with one free reduction.  The routine inlines
+    its free reduction, so its passes are counted as the iterations of its
+    pass loop: the line events on the loop's ``for`` line."""
     count = {"routine": 0, "oracle": 0}
+    reduce = normalize_oracle._free_reduce_pairs
 
-    def spy(key, module):
-        real = module._free_reduce_pairs
+    def reducing(pairs):
+        count["oracle"] += 1
+        return reduce(pairs)
 
-        def counting(pairs):
-            count[key] += 1
-            return real(pairs)
+    monkeypatch.setattr(normalize_oracle, "_free_reduce_pairs", reducing)
+    code = words.normalize_conjugator.__code__
+    lines, first = inspect.getsourcelines(code)
+    loop = first + next(k for k, text in enumerate(lines) if text.strip().startswith("for _ in range("))
 
-        monkeypatch.setattr(module, "_free_reduce_pairs", counting)
+    def in_routine(frame, event, arg):
+        if event == "line" and frame.f_lineno == loop:
+            count["routine"] += 1
+        return in_routine
 
-    spy("routine", words)
-    spy("oracle", normalize_oracle)
-    return count
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_routine if frame.f_code is code else None)
+    yield count
+    sys.settrace(previous)
 
 
 @pytest.mark.parametrize("pairs, base, want, oracle_passes", [

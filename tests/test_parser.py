@@ -305,16 +305,16 @@ def test_each_atom_text_is_normalized_once(monkeypatch):
     from mcgcalc.system import CurveSystem
 
     # a plain letter is built without normalizing, so the letters are
-    # counted where they are built: (base, twists in the conjugator)
+    # counted where they are built, from an atom's expanded twists:
+    # (base, twists in the conjugator)
     calls = []
-    original = CurveSystem.letter
+    twisted = CurveSystem._twisted
 
-    def spy(system, base, conj=()):
-        conj = tuple(conj)
-        calls.append((base, sum(abs(exp) for _, exp in conj)))
-        return original(system, base, conj)
+    def spy(system, base, twists, *rest):
+        calls.append((base, len(twists)))
+        return twisted(system, base, twists, *rest)
 
-    monkeypatch.setattr(CurveSystem, "letter", spy)
+    monkeypatch.setattr(CurveSystem, "_twisted", spy)
     s = parse_system(REPEATS)
     # c1, [c1^2]c2, c2 and [c2]c1 from u, then [c1 c1]c2 and c3 from v;
     # the relations repeat only texts already read

@@ -208,3 +208,16 @@ def test_letter_keeps_its_cached_hash():
     assert hash(letter) == hash(oracle.Letter((("c1", 1),), "c2")) == hash(((("c1", 1),), "c2"))
     assert letter._hash == hash(letter)
     assert pickle.loads(pickle.dumps(letter))._hash == letter._hash
+
+
+def test_invariant_report_is_frozen_but_unhashable():
+    """Its flags are a dict that callers read by key, so the report keeps
+    the dict and declares no hash: ``hash`` refuses it at once, by class."""
+    report = reports.InvariantReport(2, 20, reports.Census(20), 4, -12, None, flags={"spin": True})
+    with pytest.raises(TypeError, match="^unhashable type: 'InvariantReport'$"):
+        hash(report)
+    with pytest.raises(FrozenRecord):
+        report.flags = {}
+    assert report.flags["spin"] is True
+    assert report.as_dict()["flags"] == {"spin": True}
+    assert report == reports.InvariantReport(2, 20, reports.Census(20), 4, -12, None, flags={"spin": True})
