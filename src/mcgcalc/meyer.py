@@ -68,13 +68,13 @@ not vanish there: a walk from I gives their true sum only when their
 prefix is I and the walk did not split.  Otherwise they are read again
 as one walk from the true prefix, with the span skip only from I.
 
-Everything here is exact integer arithmetic: kernels come from
-unimodular column reduction, the solve from fraction-free elimination
-and the signature from a congruence recursion, so no floating point
-ever enters.  The sign conventions (transvection sign, left-to-right
-partial products, overall sign of the sum) are pinned by the
-calibration sigma = -12 for the 20-letter genus-2 relator; tests assert
-this.
+Everything here is exact integer arithmetic: kernels come from the
+integer echelon basis of ``symplectic._lattice_rows``, the solve from
+fraction-free elimination and the signature from a congruence
+recursion, so no floating point ever enters.  The sign conventions
+(transvection sign, left-to-right partial products, overall sign of the
+sum) are pinned by the calibration sigma = -12 for the 20-letter
+genus-2 relator; tests assert this.
 """
 
 from __future__ import annotations
@@ -90,34 +90,21 @@ Mat = sp.Mat
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """An integer basis of the kernel of the matrix, via column reduction.
+    """An integer basis of the kernel of the matrix, from an echelon basis.
 
-    Applies unimodular column operations until each row has at most one
-    surviving pivot column; the columns that end up identically zero
-    give the kernel basis.
+    The vectors (A e_j, e_j) span the lattice {(A x, x)}, and the rows of
+    its echelon basis (``symplectic._lattice_rows``) that vanish on the
+    A part are a basis of {(0, x) : A x = 0}: a lattice vector with zero
+    A part combines no row pivoted there.  A row whose length is not
+    ``ncols`` raises DimensionError.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    active = list(range(ncols))
-    for r in range(nrows):
-        # reduce columns pairwise until one nonzero entry remains in row r
-        cols = [c for c in active if m[r][c]]
-        while len(cols) > 1:
-            cols.sort(key=lambda c: abs(m[r][c]))
-            c0, c1 = cols[0], cols[1]
-            q = m[r][c1] // m[r][c0]
-            for mat in (m, v):
-                for row in mat:
-                    row[c1] -= q * row[c0]
-            cols = [c for c in active if m[r][c]]
-        if cols:
-            active.remove(cols[0])
-    kernel = []
-    for c in range(ncols):
-        if all(m[r][c] == 0 for r in range(nrows)):
-            kernel.append(tuple(v[r][c] for r in range(ncols)))
-    return kernel
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise DimensionError(f"row {i} has {len(row)} entries, expected {ncols}")
+    k = len(rows)
+    columns = (tuple(row[j] for row in rows) + e for j, e in enumerate(sp.mat_identity(ncols)))
+    basis = sp._lattice_rows(k + ncols, columns)
+    return [tuple(row[k:]) for row in basis if not any(row[:k])]
 
 
 def signature_of_symmetric(s: Sequence[Sequence[int]]) -> int:

@@ -11,6 +11,11 @@ applies each factor as a rank-1 update in place and never builds T_v.
 Products of transvections are symplectic by construction, so nothing
 here checks it; ``meyer.meyer_tau`` checks its caller's matrices, and
 the tests check the products.
+
+Every integer elimination goes through ``_lattice_rows``, an echelon
+basis of the lattice a set of vectors spans: H1 reads it directly,
+Smith normal form alternates it on rows and columns, and
+``meyer.integer_kernel`` reads a kernel basis from it.
 """
 
 from __future__ import annotations
@@ -204,76 +209,28 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The invariant factors of an integer matrix: d_1 | d_2 | ... | d_r.
 
     These are the nonzero entries of the Smith normal form D = U A V, as
-    positive ints, r the rank of ``a``.  Row and column operations reduce
-    ``a`` to a diagonal; one sweep then makes the diagonal a divisibility
-    chain, since diag(x, y) ~ diag(gcd, lcm) (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4).  U and V are not kept.
-    Rows of different lengths raise DimensionError.
+    positive ints, r the rank of ``a``.  An echelon basis of the row
+    lattice (``_lattice_rows``) and one of the column lattice of that
+    basis replace ``a`` in turn, each by unimodular operations, until
+    every row has one nonzero entry.  The alternation ends: from the
+    second pass on the matrix is square and triangular, and a pass makes
+    a_00 the gcd of the line through the old a_00, so |a_00| never grows.
+    It stays the same only when a_00 divides that line, and then the
+    pass leaves row 0 and column 0 clear for good, so the rest of the
+    matrix follows the same argument.  One sweep then makes the diagonal
+    a divisibility chain, since diag(x, y) ~ diag(gcd, lcm) (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4).  U and V are
+    not kept.  Rows of different lengths raise DimensionError.
     """
-    d = [list(row) for row in a]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    for i, row in enumerate(d):
+    n = len(a[0]) if a else 0
+    for i, row in enumerate(a):
         if len(row) != n:
             raise DimensionError(f"row {i} has {len(row)} entries, expected {n}")
-    # before step t, rows and columns 0..t-1 are zero off the diagonal,
-    # so the operations of step t touch only the block d[t:][t:]
-
-    def clear_row_entry(t, i):
-        # zero d[i][t] against pivot d[t][t]; leaves the pivot row alone
-        # when the pivot divides, otherwise installs the gcd at (t,t)
-        at, ai = d[t][t], d[i][t]
-        rt, ri = d[t], d[i]
-        if ai % at == 0:
-            q = ai // at
-            for k in range(t, n):
-                ri[k] -= q * rt[k]
-        else:
-            g, x, y = _xgcd(at, ai)
-            p, q = -(ai // g), at // g
-            for k in range(t, n):
-                rt[k], ri[k] = x * rt[k] + y * ri[k], p * rt[k] + q * ri[k]
-
-    def clear_col_entry(t, j):
-        at, aj = d[t][t], d[t][j]
-        if aj % at == 0:
-            q = aj // at
-            for row in d[t:]:
-                row[j] -= q * row[t]
-        else:
-            g, x, y = _xgcd(at, aj)
-            p, q = -(aj // g), at // g
-            for row in d[t:]:
-                row[t], row[j] = x * row[t] + y * row[j], p * row[t] + q * row[j]
-
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] and (pivot is None or abs(d[i][j]) < pivot[0]):
-                    pivot = (abs(d[i][j]), i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        d[t], d[pi] = d[pi], d[t]
-        for row in d[t:]:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    clear_row_entry(t, i)
-            if any(d[t][j] for j in range(t + 1, n)):
-                for j in range(t + 1, n):
-                    if d[t][j]:
-                        clear_col_entry(t, j)
-            else:
-                break
-            if not any(d[i][t] for i in range(t + 1, m)):
-                break
-        t += 1
-
-    factors = [abs(d[i][i]) for i in range(t)]
+    d = _lattice_rows(n, map(tuple, a))
+    while any(len(row) - row.count(0) > 1 for row in d):
+        d = _lattice_rows(len(d), zip(*d))
+    factors = [abs(x) for row in d for x in row if x]
+    t = len(factors)
     for i in range(t):
         for j in range(i + 1, t):
             g = math.gcd(factors[i], factors[j])
@@ -321,9 +278,12 @@ def _lattice_rows(n: int, classes: Iterable[Vec]) -> list[list[int]]:
     divides its entry there is subtracted; one that does not is replaced,
     by the extended gcd, with a unimodular combination of its row and
     the class whose pivot is their gcd (Cohen, GTM 138, 2.4), so the rows
-    always span the classes read so far.  A class left nonzero becomes
-    the row of its first nonzero column.  Reading stops at n rows with
-    pivots +-1, which span Z^n.  A repeated class is skipped.
+    always span the classes read so far.  A row so replaced is then
+    reduced modulo the later pivots, so that its entry in each later
+    pivot's column is smaller than that pivot and entries stay small
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979).  A class left nonzero
+    becomes the row of its first nonzero column.  Reading stops at n rows
+    with pivots +-1, which span Z^n.  A repeated class is skipped.
     """
     rows: list[list[int] | None] = [None] * n
     units = 0
@@ -345,9 +305,13 @@ def _lattice_rows(n: int, classes: Iterable[Vec]) -> list[list[int]]:
             if f % b:
                 d, x, y = _xgcd(b, f)
                 s, t = b // d, f // d
-                rows[p] = [x * r + y * c for r, c in zip(row, u)]
+                rows[p] = new = [x * r + y * c for r, c in zip(row, u)]
                 u = [s * c - t * r for r, c in zip(row, u)]
                 units += abs(d) == 1
+                for i, later in enumerate(rows[p + 1 :], p + 1):
+                    if later and (k := new[i] // later[i]):
+                        for j in range(i, n):
+                            new[j] -= k * later[j]
             else:
                 q = f // b
                 u = [c - q * r for r, c in zip(row, u)]

@@ -6,7 +6,8 @@ These are the package routines as they were before the table: the
 signature and H1 read each letter through the raising ``letter_class``
 below, H1 once per distinct letter, and the census calls
 ``homology_class_of_letter`` for every position.  The per-letter Meyer
-sum itself is ``tests/local_signature_oracle.py``.
+sum itself is ``tests/local_signature_oracle.py``, and H1's invariant
+factors come from ``tests/snf_oracle.py`` through ``tests/h1_oracle.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from mcgcalc import symplectic as sp
 from mcgcalc.errors import NotARelator, UnknownClass
 from mcgcalc.reports import Census
 from tests import local_signature_oracle
+from tests.h1_oracle import cokernel
 
 
 def letter_class(system, letter):
@@ -66,7 +68,7 @@ def h1_total_space(system, w):
     for letter in dict.fromkeys(letter for letter, _ in w.letters):
         u = letter_class(system, letter)
         cols[max(u, tuple(-x for x in u))] = None
-    return sp.cokernel([[col[i] for col in cols] for i in range(2 * g)], 2 * g)
+    return cokernel([[col[i] for col in cols] for i in range(2 * g)], 2 * g)
 
 
 def full_report(system, w):

@@ -1,13 +1,23 @@
 """H1 of a class table as the package computed it before its echelon
 basis: Smith normal form over every distinct class up to sign.  Kept
-verbatim as the oracle for ``symplectic._h1_of_classes``, which reads
-the same lattice through at most 2g echelon rows."""
+as the oracle for ``symplectic._h1_of_classes``, which reads
+the same lattice through at most 2g echelon rows.  The invariant factors
+come from ``tests/snf_oracle.py``, not from the package's ``cokernel``,
+which runs on the echelon routine this oracle checks."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from mcgcalc.symplectic import AbelianGroup, Vec, cokernel
+from mcgcalc.symplectic import AbelianGroup, Vec
+from tests.snf_oracle import invariant_factors
+
+
+def cokernel(a: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroup:
+    """Z^ambient_rank modulo the column span of ``a``, from the oracle's
+    invariant factors."""
+    factors = invariant_factors(a)
+    return AbelianGroup(ambient_rank - len(factors), tuple(x for x in factors if x > 1))
 
 
 def _h1_of_classes(g: int, table: Sequence[tuple[Vec, int]]) -> AbelianGroup:

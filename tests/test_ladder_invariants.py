@@ -17,6 +17,7 @@ the system's lifetime.
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from mcgcalc.parser import parse_system
 from mcgcalc.reports import full_report
 from mcgcalc.system import CurveSystem
 from mcgcalc.words import compose_words, invert_word, render_word
-from tests import h1_oracle, sym_signature_oracle
+from tests import h1_oracle, snf_oracle, sym_signature_oracle
 from tests.test_span_walk import benchmark_ops
 
 TORSION = Path(__file__).parent / "data" / "h1_torsion.mcg"
@@ -145,6 +146,54 @@ def test_snf_reads_at_most_2g_rows_on_torsion(snf_rows):
         del snf_rows[:]
         sp._h1_of_classes(system.genus, table)
         assert snf_rows and max(snf_rows) <= 2 * system.genus
+
+
+def seeded_table(rng, n, count, gens, scales):
+    """count classes in Z^n, each a scaled combination of ``gens`` seeded
+    generators with entries in [-2, 2], so the lattice may be short of
+    rank n or of finite index (torsion)."""
+    basis = [tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(gens)]
+    table = []
+    for _ in range(count):
+        coeffs = [rng.randrange(-1, 2) for _ in basis]
+        scale = rng.choice(scales)
+        table.append((tuple(scale * sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(n)), 1))
+    return table
+
+
+def test_snf_and_h1_match_oracle_at_2g_20():
+    # Smith normal form alternates echelon bases of the rows and the
+    # columns; the oracle is the former elimination with its transforms
+    rng = random.Random(20)
+    units = [(tuple(int(i == j) for j in range(20)), 1) for i in range(20)]
+    tables = [
+        seeded_table(rng, 20, 30, 20, (1,)),
+        seeded_table(rng, 20, 30, 14, (1, 2)),
+        seeded_table(rng, 20, 24, 20, (2, 3)),
+        seeded_table(rng, 20, 25, 18, (1, 6)),
+        seeded_table(rng, 20, 20, 20, (1,)) + units,
+    ]
+    groups = []
+    for table in tables:
+        a = [[u[i] for u, _ in table] for i in range(20)]
+        assert sp.smith_normal_form(a) == snf_oracle.invariant_factors(a)
+        at = [list(u) for u, _ in table]
+        assert sp.smith_normal_form(at) == snf_oracle.invariant_factors(at)
+        h1 = sp._h1_of_classes(10, table)
+        assert h1 == h1_oracle._h1_of_classes(10, table)
+        groups.append((h1.rank > 0, len(h1.torsion) > 1, h1.is_trivial()))
+    # free part, torsion with more than one factor, and H1 = 0 all occur
+    assert [any(col) for col in zip(*groups)] == [True, True, True]
+
+
+def test_echelon_entries_stay_small_at_2g_40():
+    # a row that the extended gcd replaces is reduced modulo the later
+    # pivots; without that step these entries grow past 40 000 bits
+    rng = random.Random(40)
+    classes = [tuple(rng.randrange(-2, 3) for _ in range(40)) for _ in range(80)]
+    rows = sp._lattice_rows(40, classes)
+    assert_echelon(40, rows)
+    assert max(abs(x).bit_length() for row in rows for x in row) <= 128
 
 
 # --- the Bareiss signature ------------------------------------------------------

@@ -19,6 +19,8 @@ from mcgcalc.symplectic import (
     transvection,
 )
 
+from tests import snf_oracle
+
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
 
@@ -98,6 +100,19 @@ def test_integer_kernel_properties():
         from tests.test_symplectic import rank_over_q
 
         assert len(basis) == cols - rank_over_q(a)
+        # saturated: the basis spans every integer kernel vector, not a
+        # sublattice of finite index, so its invariant factors are all 1
+        assert snf_oracle.invariant_factors(basis) == (1,) * len(basis), (a, basis)
+
+
+def test_integer_kernel_refuses_rows_of_the_wrong_length():
+    # a typed error, not a builtin IndexError, and no kernel of a
+    # truncated matrix
+    with pytest.raises(DimensionError, match="row 1 has 1 entries, expected 2"):
+        integer_kernel([[1, 2], [3]], 2)
+    with pytest.raises(DimensionError, match="row 0 has 3 entries, expected 2"):
+        integer_kernel([[1, 2, 3]], 2)
+    assert integer_kernel([[1, 2]], 2) in ([(-2, 1)], [(2, -1)])
 
 
 # --- the cocycle -------------------------------------------------------------
