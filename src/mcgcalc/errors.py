@@ -55,10 +55,10 @@ class InvalidMove(McgError, ValueError):
 
 
 class ConjugatorTooLong(McgError, ValueError):
-    """A move would build a flattened conjugator of more than
-    ``words.MAX_WORD_LETTERS`` twists, the most the parser admits; it is
-    refused before it is normalized.  Also a ValueError, so a script step
-    that builds one fails like any other step."""
+    """A move or ``CurveSystem.letter`` would build a flattened conjugator
+    of more than ``words.MAX_WORD_LETTERS`` twists, the most the parser
+    admits; it is refused before it is built.  Also a ValueError, so a
+    script step that builds one fails like any other step."""
 
 
 class MoveOutOfRange(McgError, IndexError):
@@ -67,10 +67,10 @@ class MoveOutOfRange(McgError, IndexError):
 
 
 class InvalidDeclaration(McgError, ValueError):
-    """A system declaration the registry refuses: a genus below 2, a
-    name declared twice, a pair that names one curve twice, or a zero
-    conjugator exponent.  Also a ValueError, the type it raised before it
-    had its own."""
+    """A system declaration the registry refuses: a genus below 2, a name
+    declared twice, a pair that names one curve twice, a zero conjugator
+    exponent, or a class entry or septype x that is not int(x), such as
+    1.5 or '3'.  Also a ValueError, the type it raised before it had its own."""
 
 
 class InvalidCensus(McgError, ValueError):

@@ -45,7 +45,8 @@ P_k - I = (P_{k-1} - I) T_k + (T_k - I), as T_k maps U_k into itself.
 So a class u_{k+1} outside U_k is not in im(P_k - I), and tau is 0 by
 the first case above.  The walk keeps a fraction-free echelon basis of
 U_k, at O(2g r) per step for rank r, and solves only for a class
-inside it; once r = 2g every class is inside, and the basis goes.
+inside it; once r = 2g every class is inside, and the basis goes.  The
+basis is the package's one rational span routine, ``symplectic._extend_span``.
 
 To keep that skip going, a block between central points is read as two
 walks from I: the second starts after the step where the first walk's
@@ -80,10 +81,10 @@ genus-2 relator; tests assert this.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from math import gcd
 
 from . import symplectic as sp
 from .errors import DimensionError, InvalidCensus, NotARelator, NotPositive, NotSymplectic
+from .symplectic import _extend_span
 from .words import Word, _check_in_system, is_positive
 
 Mat = sp.Mat
@@ -352,26 +353,6 @@ def _read_block(steps, i: int, n: int, sign: int, split: bool):
                 prefix = _scaled(identity, 1)
                 basis = []
     return value, i, 0, prefix, first is not None
-
-
-def _extend_span(basis: list[tuple[int, list[int]]], u: Sequence[int]) -> bool:
-    """Add u to the echelon rows of a span, or return False if it lies in it.
-
-    Each row (p, b) has b[p] != 0 and is zero at every earlier row's
-    pivot, so clearing u at the pivots in order leaves 0 exactly when u
-    is in the span.  Rows stay fraction-free, divided by their content.
-    """
-    for p, row in basis:
-        f = u[p]
-        if f:
-            b = row[p]
-            u = [b * x - f * y for x, y in zip(u, row)]
-    for p, x in enumerate(u):
-        if x:
-            g = gcd(*u)
-            basis.append((p, [y // g for y in u]))
-            return True
-    return False
 
 
 def _scaled(m, c: int) -> list[list[int]]:

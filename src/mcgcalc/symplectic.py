@@ -16,13 +16,16 @@ Every integer elimination goes through ``_lattice_rows``, an echelon
 basis of the lattice a set of vectors spans: H1 reads it directly,
 Smith normal form alternates it on rows and columns, and
 ``meyer.integer_kernel`` reads a kernel basis from it.
+
+Every rational span question goes through ``_extend_span``: whether a
+class lies in the Meyer walk's span, and the lantern solver's image of M - I.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from .errors import DimensionError, InvalidGroup, UnknownClass
@@ -233,7 +236,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     t = len(factors)
     for i in range(t):
         for j in range(i + 1, t):
-            g = math.gcd(factors[i], factors[j])
+            g = gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
     return tuple(factors)
 
@@ -318,3 +321,23 @@ def _lattice_rows(n: int, classes: Iterable[Vec]) -> list[list[int]]:
         if units == n:
             break
     return [row for row in rows if row is not None]
+
+
+def _extend_span(basis: list[tuple[int, list[int]]], u: Sequence[int]) -> bool:
+    """Add u to the echelon rows of a span, or return False if it lies in it.
+
+    Each row (p, b) has b[p] != 0 and is zero at every earlier row's
+    pivot, so clearing u at the pivots in order leaves 0 exactly when u
+    is in the span.  Rows stay fraction-free, divided by their content.
+    """
+    for p, row in basis:
+        f = u[p]
+        if f:
+            b = row[p]
+            u = [b * x - f * y for x, y in zip(u, row)]
+    for p, x in enumerate(u):
+        if x:
+            g = gcd(*u)
+            basis.append((p, [y // g for y in u]))
+            return True
+    return False

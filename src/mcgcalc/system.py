@@ -7,16 +7,19 @@ relations, and named fixture words.  Homology classes live in the basis
 a1,b1,...,ag,bg.
 
 The system is assembled through the ``add_*`` methods at load time and
-treated as immutable afterward; queries are pure.
+treated as immutable afterward; queries are pure.  The lantern solver
+reads the image of M - I, and whether M is one transvection, from
+``_image_basis``, a basis from ``symplectic._extend_span``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from math import gcd, isqrt
+from math import isqrt
 
 from . import symplectic as sp
 from .errors import (
+    ConjugatorTooLong,
     DimensionError,
     InvalidDeclaration,
     InvalidRelation,
@@ -26,7 +29,7 @@ from .errors import (
     UnknownCurve,
 )
 from .records import Frozen
-from .words import Letter, Word, normalize_conjugator
+from .words import MAX_WORD_LETTERS, Letter, Word, normalize_conjugator
 
 Vec = tuple[int, ...]
 
@@ -36,6 +39,16 @@ Vec = tuple[int, ...]
 # 10^4 admits b <= 49.  The largest admitted walk, at b = 49, took
 # 0.5 s at genus 3 and 0.8 s at genus 6 (Python 3.11, one 2-core Xeon).
 LANTERN_WALK_LIMIT = 10_000
+
+
+def _ints(what: str, values: Iterable) -> tuple[int, ...]:
+    """The values as ints; InvalidDeclaration unless int(x) equals x for each."""
+    try:
+        if (ints := tuple(map(int, values := tuple(values)))) == values:
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidDeclaration(f"{what} must be an integer")
 
 
 class RelationDecl(Frozen):
@@ -85,7 +98,7 @@ class CurveSystem:
         if name in self._curves:
             raise InvalidDeclaration(f"curve {name!r} already declared")
         if cls is not None:
-            cls = tuple(map(int, cls))
+            cls = _ints(f"each entry of the class of {name!r}", cls)
             if len(cls) != 2 * self.genus:
                 raise DimensionError(
                     f"class of {name!r} has length {len(cls)}, expected {2 * self.genus}"
@@ -113,7 +126,7 @@ class CurveSystem:
         self._require(name)
         if name in self.septype:
             raise InvalidDeclaration(f"septype {name!r} already declared")
-        self.septype[name] = int(h)
+        self.septype[name], = _ints(f"septype of {name!r}", (h,))
 
     def add_relation(self, decl: RelationDecl) -> None:
         if decl.name in self.relations:
@@ -186,11 +199,11 @@ class CurveSystem:
         for name, exp in conj:
             if exp == 0:
                 raise InvalidDeclaration("conjugator exponent must be nonzero")
-            sign = 1 if exp > 0 else -1
-            if exp == sign:
-                pairs.append((name, sign))
-            else:
-                pairs += [(name, sign)] * abs(exp)
+            n = len(pairs) + abs(exp)
+            if n > MAX_WORD_LETTERS:
+                raise ConjugatorTooLong(
+                    f"conjugator of {n} twists expands past {MAX_WORD_LETTERS} twists")
+            pairs += [(name, 1 if exp > 0 else -1)] * abs(exp)
         return self._twisted(base, pairs)
 
     def _twisted(self, base: str, twists: Sequence[tuple[str, int]], declared: bool = True) -> Letter:
@@ -365,76 +378,58 @@ def validate_system(system: CurveSystem) -> list[str]:
     return violations
 
 
+def _image_basis(m: sp.Mat, rank: int) -> list[tuple[int, list[int]]] | None:
+    """Echelon rows (p, b) of the Q-span of the columns of m - I, from
+    ``symplectic._extend_span``, or None once its rank passes ``rank``."""
+    n = len(m)
+    basis: list[tuple[int, list[int]]] = []
+    for j in range(n):
+        if sp._extend_span(basis, [m[i][j] - (i == j) for i in range(n)]) and len(basis) > rank:
+            return None
+    return basis
+
+
 def _recognize_transvection(m: sp.Mat, bound: int) -> list[Vec]:
     """All vectors v with |entries| <= bound and T_v = m."""
-    n = len(m)
-    d = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    if all(all(x == 0 for x in row) for row in d):
-        return [tuple([0] * n)]
-    j = next(j for j in range(n) if any(row[j] for row in d))
-    col = [row[j] for row in d]
-    g = 0
-    for x in col:
-        g = gcd(g, x)
-    prim = tuple(x // g for x in col)
-    # T_v - I maps x to <x,v> v, so every candidate is lambda * prim, and
-    # column j is <e_j, v> v = lambda^2 <e_j, prim> prim = g prim.
-    pe = prim[j + 1] if j % 2 == 0 else -prim[j - 1]
-    if pe <= 0 or g % pe:
+    basis = _image_basis(m, 1)
+    if basis is None:
         return []
-    lam2 = g // pe
-    lam = isqrt(lam2)
-    if lam * lam != lam2:
+    if not basis:
+        return [tuple([0] * len(m))]
+    (p, u), = basis
+    # T_v - I maps x to <x,v> v, so v = lambda u for the primitive row u of
+    # its image, and entry p of column p ^ 1 is lambda^2 <e_(p^1), u> u[p],
+    # where <e_(p^1), u> is u[p] for odd p and -u[p] for even p
+    lam2, r = divmod(m[p][p ^ 1], u[p] * u[p] if p & 1 else -u[p] * u[p])
+    lam = isqrt(lam2) if lam2 > 0 else 0
+    if r or not lam or lam * lam != lam2:
         return []
-    out = []
-    for v in (tuple(lam * x for x in prim), tuple(-lam * x for x in prim)):
-        if all(abs(x) <= bound for x in v) and sp.transvection(v) == m:
-            if v not in out:
-                out.append(v)
-    return out
+    return [v for v in (tuple(lam * x for x in u), tuple(-lam * x for x in u))
+            if all(abs(x) <= bound for x in v) and sp.transvection(v) == m]
 
 
 def _image_points(m: sp.Mat, bound: int) -> list[Vec]:
     """Integer vectors with |entries| <= bound in the Q-span of m - I.
 
     Returns [] when the span has rank above 2.  A span of rank r <= 2 is
-    fixed by r pivot coordinates, so the walk is over their (2b+1)^r
-    values.  With spanning columns u, v and pivots i, j (where the minor
-    delta = u_i v_j - u_j v_i is nonzero), the span vector with x_i = s
-    and x_j = t has x_k = (s A_k + t B_k) / delta by Cramer's rule, for
-    the 2x2 minors A_k = u_k v_j - u_j v_k and B_k = u_i v_k - u_k v_i.
-    A column c lies in the span iff delta c_k = c_i A_k + c_j B_k for
-    every k.  Rank 1 is the same with x_k = s u_k / u_i.
+    fixed by the values s_k of its r echelon rows (p_k, b_k) at their
+    pivots, so the walk is over their (2b+1)^r values.  Row k is zero at
+    every earlier pivot, so x is found by forward substitution: with x
+    kept as d x for d the product of the pivots b_j[p_j] so far, adding
+    row k sets d x to b_k[p_k] d x + (d s_k - d x[p_k]) b_k.  A point is
+    kept when d divides each entry and the quotient lies in the box.
     """
-    n = len(m)
-    cols = [c for c in ([m[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n))
-            if any(c)]
-    if not cols:
-        return [tuple([0] * n)]
-    u = cols[0]
-    i = next(k for k in range(n) if u[k])
+    basis = _image_basis(m, 2)
+    if basis is None:
+        return []
     span = range(-bound, bound + 1)
-    v, j = next(((v, j) for v in cols for j in range(n) if u[i] * v[j] - u[j] * v[i]),
-                (None, None))
-    if v is None:
-        delta, rows, pivots = u[i], [(x,) for x in u], [(s,) for s in span]
-    else:
-        delta = u[i] * v[j] - u[j] * v[i]
-        rows = [(u[k] * v[j] - u[j] * v[k], u[i] * v[k] - u[k] * v[i]) for k in range(n)]
-        if any(delta * c[k] != c[i] * a + c[j] * b for c in cols for k, (a, b) in enumerate(rows)):
-            return []
-        pivots = [(s, t) for s in span for t in span]
-    points = []
-    for values in pivots:
-        x = []
-        for row in rows:
-            q, r = divmod(sum(s * a for s, a in zip(values, row)), delta)
-            if r or abs(q) > bound:
-                break
-            x.append(q)
-        else:
-            points.append(tuple(x))
-    return points
+    walk = [([0] * len(m), 1)]
+    for p, row in basis:
+        b = row[p]
+        walk = [([b * y + c * z for y, z in zip(x, row)], b * d)
+                for x, d in walk for c in (d * s - x[p] for s in span)]
+    return [tuple(y // d for y in x) for x, d in walk
+            if all(y % d == 0 and abs(y) <= bound * abs(d) for y in x)]
 
 
 def _complete(

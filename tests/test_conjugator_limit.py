@@ -7,13 +7,22 @@ curve W's system does not declare (``UnknownCurve``), and it and
 ValueError, so a script step that builds one fails with its index).  A
 spy on ``words.normalize_conjugator`` pins that a refused call never
 reaches normalization; the tests lower the limit through monkeypatch.
+``CurveSystem.letter`` refuses the same way, at the real limit, before
+an exponent that passes it expands.
 """
 
 import pytest
 
 from mcgcalc import fixture_path, parser, words
+from mcgcalc import system as system_mod
 from mcgcalc.cli import run_command
-from mcgcalc.errors import ConjugatorTooLong, McgError, ScriptError, UnknownCurve
+from mcgcalc.errors import (
+    ConjugatorTooLong,
+    InvalidDeclaration,
+    McgError,
+    ScriptError,
+    UnknownCurve,
+)
 from mcgcalc.moves import elementary_transformation, replay_script, simultaneous_conjugation
 from mcgcalc.parser import parse_scripts
 from mcgcalc.words import Letter, push_forward_word, twist_conjugate_letter
@@ -96,3 +105,31 @@ def test_refused_step_is_a_script_error(g2, tmp_path, monkeypatch, normalized, c
     path.write_text(SCRIPT)
     assert run_command(["replay", str(fixture_path("genus2_chain.mcg")), str(path)]) == 1
     assert "replay failed at step 2" in capsys.readouterr().err
+
+
+def test_letter_refuses_a_long_conjugator_before_it_expands(g2, monkeypatch):
+    seen = []
+    real = system_mod.normalize_conjugator
+    monkeypatch.setattr(system_mod, "normalize_conjugator", lambda system, pairs, base:
+                        seen.append(len(pairs)) or real(system, pairs, base))
+    limit = words.MAX_WORD_LETTERS
+    # c2 meets c1 once, so the normal form would keep every twist
+    with pytest.raises(ConjugatorTooLong,
+                       match=f"^conjugator of {limit + 1} twists expands past {limit} twists$"):
+        g2.letter("c1", [("c2", limit + 1)])
+    # refused at the pair that passes the limit, before it expands into a
+    # list of 10^12 pairs
+    with pytest.raises(ConjugatorTooLong, match=f"^conjugator of {10**12} twists"):
+        g2.letter("c1", [("c2", 10**12)])
+    with pytest.raises(ConjugatorTooLong, match=f"^conjugator of {limit + 1} twists"):
+        g2.letter("c1", [("c3", 1), ("c2", -limit)])
+    # the count and the zero-exponent check run over the pairs in order
+    with pytest.raises(InvalidDeclaration, match="exponent must be nonzero"):
+        g2.letter("c1", [("c2", 0), ("c2", 10**12)])
+    with pytest.raises(ConjugatorTooLong):
+        g2.letter("c1", [("c2", 10**12), ("c2", 0)])
+    assert seen == []
+    # exactly at the limit the letter is built: c3 is disjoint from c1, so
+    # all its twists drop out of the normal form
+    assert g2.letter("c1", [("c3", limit)]) == g2.letter("c1")
+    assert seen == [limit]

@@ -6,12 +6,16 @@ M - I, a lattice of rank at most 2 (see ``system._complete``).
 ``box_walk_lantern`` checks every vector of [-b, b]^(2g) for each
 unknown by dense matrix products; both must return the same list, and
 the solver must try at most (2b+1)^rank(M - I) candidates for two
-unknowns and recognize one forced factor for one.
+unknowns and recognize one forced factor for one.  Its two span
+routines, ``_recognize_transvection`` and ``_image_points``, are also
+held on their own to a table of every box vector's twist and to a rank
+filter of the box.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +25,12 @@ from hypothesis import strategies as st
 
 from mcgcalc import system as system_mod
 from mcgcalc.symplectic import mat_identity, mat_mul, symplectic_inverse, transvection
-from mcgcalc.system import CurveSystem, _recognize_transvection, solve_lantern_classes
+from mcgcalc.system import (
+    CurveSystem,
+    _image_points,
+    _recognize_transvection,
+    solve_lantern_classes,
+)
 
 D_NAMES = ["d0", "d1", "d2", "d3"]
 
@@ -75,9 +84,15 @@ def two_twist_matrix(system, d_names, right):
 def rank_minus_identity(m):
     """rank(M - I) by Gaussian elimination over Q."""
     n = len(m)
-    rows = [[Fraction(m[i][j] - (i == j)) for j in range(n)] for i in range(n)]
+    return fraction_rank([[m[i][j] - (i == j) for j in range(n)] for i in range(n)])
+
+
+def fraction_rank(vectors):
+    """The rank of integer vectors of one length, by Gaussian elimination over Q."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    n = len(rows)
     rank = 0
-    for c in range(n):
+    for c in range(len(rows[0]) if rows else 0):
         k = next((i for i in range(rank, n) if rows[i][c]), None)
         if k is None:
             continue
@@ -197,3 +212,80 @@ def test_workload_searches_match_box_walk(request, fixture, d_names, known, boun
     system = request.getfixturevalue(fixture)
     got_rank, got = check_against_box_walk(system, [known, None, None], bound, d_names)
     assert got_rank == rank and got
+
+
+# The two span routines of the solver against plain oracles that share
+# nothing with them: twist matrices written out entry by entry, a table
+# of every box vector's twist, and a rank test over Q.
+
+def written_twist(w, s=1):
+    """T_w^s = I + s w <., w>: column j is e_j + s <e_j, w> w, where
+    <e_j, w> is w[j + 1] for even j and -w[j - 1] for odd j."""
+    n = len(w)
+    return tuple(tuple(int(i == j) + s * (w[j + 1] if j % 2 == 0 else -w[j - 1]) * w[i]
+                       for j in range(n)) for i in range(n))
+
+
+def written_product(factors):
+    """The product of the twists (w, s) in order, by plain row-column sums."""
+    m = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    for w, s in factors:
+        t = written_twist(w, s)
+        m = tuple(tuple(sum(row[k] * t[k][j] for k in range(4)) for j in range(4)) for row in m)
+    return m
+
+
+def box(bound):
+    return list(itertools.product(range(-bound, bound + 1), repeat=4))
+
+
+def twist_table(bound):
+    """Every box vector, by the matrix of its twist."""
+    table = {}
+    for w in box(bound):
+        table.setdefault(written_twist(w), []).append(w)
+    return table
+
+
+def seeded_products(seed, count, sizes):
+    """``count`` products of ``sizes`` twists each, classes and signs drawn
+    from random.Random(seed), entries in [-2, 2]."""
+    rng = random.Random(seed)
+    return [written_product([(tuple(rng.randint(-2, 2) for _ in range(4)), rng.choice((1, -1)))
+                             for _ in range(rng.choice(sizes))]) for _ in range(count)]
+
+
+def test_recognize_transvection_matches_the_twist_table():
+    table = {bound: twist_table(bound) for bound in (1, 2)}
+    matrices = [(written_product([]), 1)]
+    for v in box(1):
+        matrices += [(written_twist(v), 1),  # lambda^2 = 1
+                     (written_twist(v, -1), 1),  # lambda^2 = -1: a twist only for v = 0
+                     (written_product([(v, 1)] * 2), 1),  # lambda^2 = 2: not a square
+                     (written_product([(v, 1)] * 4), 1),  # T_(2v), outside the box at bound 1
+                     (written_product([(v, 1)] * 4), 2)]  # lambda^2 = 4: T_(2v) at bound 2
+    matrices += [(m, 1) for m in seeded_products(31, 200, (2,))]
+    hits = 0
+    for m, bound in matrices:
+        got = sorted(_recognize_transvection(m, bound))
+        assert got == sorted(table[bound].get(m, [])), (m, bound)
+        hits += bool(got)
+    assert hits > 2 * 80  # T_v at bound 1 and T_(2v) at bound 2, for each v != 0
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_image_points_match_a_rank_filter_of_the_box(bound):
+    ranks = set()
+    for m in seeded_products(bound, 16, (1, 2, 3)):
+        columns = [[m[i][j] - (i == j) for i in range(4)] for j in range(4)]
+        rank = fraction_rank(columns)
+        ranks.add(min(rank, 3))
+        if rank > 2:
+            expected = []
+        else:
+            # the columns that raise the rank span the image
+            basis = [c for k, c in enumerate(columns)
+                     if fraction_rank(columns[:k + 1]) > fraction_rank(columns[:k])]
+            expected = [x for x in box(bound) if fraction_rank(basis + [x]) == rank]
+        assert sorted(_image_points(m, bound)) == expected, m
+    assert ranks == {1, 2, 3}

@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from mcgcalc.errors import InvalidRelation, MalformedRelation, UnknownClass, UnknownCurve
+from mcgcalc.errors import (
+    InvalidDeclaration,
+    InvalidRelation,
+    MalformedRelation,
+    UnknownClass,
+    UnknownCurve,
+)
 from mcgcalc.reports import Census, singular_fiber_census
 from mcgcalc.symplectic import mat_identity, mat_mul, pairing, transvection
 from mcgcalc.system import (
@@ -378,3 +384,37 @@ def test_solver_requires_known_entry(g2):
 def test_solver_opaque_raises(g3):
     with pytest.raises(UnknownClass):
         solve_lantern_classes(g3, ["c1", "c3", "c5", "x1"], ["f1", None, None])
+
+
+@pytest.mark.parametrize("cls", [
+    (1.5, 0, 0, -0.9),  # int() would truncate it to (1, 0, 0, 0)
+    ("x", 0, 0, 0),
+    (None, 0, 0, 0),
+    ("3", 0, 0, 0),  # int() reads it, but it is a string, not an integer
+    (float("nan"), 0, 0, 0),
+    (float("inf"), 0, 0, 0),
+    5,
+])
+def test_add_curve_refuses_non_integer_entries(cls):
+    s = CurveSystem(2)
+    with pytest.raises(InvalidDeclaration, match="^each entry of the class of 'c' must be an integer$"):
+        s.add_curve("c", cls)
+    assert s.curve_names == ()
+
+
+def test_add_curve_keeps_integral_entries_as_ints():
+    s = CurveSystem(2)
+    s.add_curve("c", (2.0, 0, True, -0.0))
+    assert s.class_of("c") == (2, 0, 1, 0)
+    assert all(type(x) is int for x in s.class_of("c"))
+
+
+@pytest.mark.parametrize("h", [1.9, "1", None, float("nan"), (1,)])
+def test_add_septype_refuses_a_non_integer(h):
+    s = CurveSystem(4)
+    s.add_curve("d", (0,) * 8)
+    with pytest.raises(InvalidDeclaration, match="^septype of 'd' must be an integer$"):
+        s.add_septype("d", h)
+    assert s.septype == {}
+    s.add_septype("d", 2.0)
+    assert s.septype == {"d": 2} and type(s.septype["d"]) is int
