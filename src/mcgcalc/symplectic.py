@@ -8,13 +8,18 @@ pinned by the signature calibration in the meyer module.
 
 Every product with transvections goes through ``_twist_rows``, which
 applies each factor as a rank-1 update in place and never builds T_v.
+A class's nonzero entries, its support (``_support``), are all that the
+hot pairings read: ``_twist_rows`` for each row of its matrix,
+``CurveSystem.homology_class_of_letter`` for each conjugator twist of
+the class walk, and ``system.validate_system`` for each declared fact.
 Products of transvections are symplectic by construction, so nothing
 here checks it; ``meyer.meyer_tau`` checks its caller's matrices, and
 the tests check the products.
 
 Every integer elimination goes through ``_lattice_rows``, an echelon
 basis of the lattice a set of vectors spans: H1 reads it directly,
-Smith normal form alternates it on rows and columns, and
+Smith normal form alternates it on rows and columns (``_echelon_factors``,
+which H1 enters with its own rows when they are not all of Z^2g), and
 ``meyer.integer_kernel`` reads a kernel basis from it.
 
 Every rational span question goes through ``_extend_span``: whether a
@@ -26,7 +31,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd
-from operator import mul
 
 from .errors import DimensionError, InvalidGroup, UnknownClass
 from .records import Frozen
@@ -93,21 +97,33 @@ def twist_product(m: Mat, twists: Iterable[tuple[Sequence[int], int]]) -> Mat:
     return tuple(tuple(row) for row in rows)
 
 
+def _support(v: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """The nonzero entries of v as (i, v[i], i ^ 1, f), f = v[i] for odd i
+    and -v[i] for even i: (Mv)_r = sum of M[r][i] v[i] over the (i, v[i])
+    parts, and <x, v> = sum of f x[j] over the (j, f) parts."""
+    return tuple((i, x, i ^ 1, x if i & 1 else -x) for i, x in enumerate(v) if x)
+
+
 def _twist_rows(rows: list[list[int]], twists: Iterable[tuple[Sequence[int], int]]) -> None:
     """``twist_product`` in place on the row lists of M.  Each factor is the
     rank-1 update M T_v^s = M + s (Mv) <., v>: column i ^ 1 of M gains
     s <e_{i^1}, v> Mv, which is s v[i] Mv for odd i and -s v[i] Mv for
-    even i, so no T_v is built and a factor costs O(n^2)."""
+    even i, so no T_v is built.  Both the entry c of Mv and the update
+    of a row read only the support of v (``_support``), so a factor
+    costs O(n k) for k nonzero entries of v."""
     n = len(rows)
     for v, s in twists:
         if len(v) != n:
             raise DimensionError(f"vector of length {len(v)} against a {n}x{n} matrix")
-        support = [(i ^ 1, s * x if i & 1 else -s * x) for i, x in enumerate(v) if x]
+        support = _support(v)
         if support:
             for row in rows:
-                c = sum(map(mul, row, v))
+                c = 0
+                for i, x, _, _ in support:
+                    c += row[i] * x
                 if c:
-                    for j, f in support:
+                    c *= s
+                    for _, _, j, f in support:
                         row[j] += c * f
 
 
@@ -229,7 +245,14 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     for i, row in enumerate(a):
         if len(row) != n:
             raise DimensionError(f"row {i} has {len(row)} entries, expected {n}")
-    d = _lattice_rows(n, map(tuple, a))
+    return _echelon_factors(_lattice_rows(n, map(tuple, a)))
+
+
+def _echelon_factors(d: list[list[int]]) -> tuple[int, ...]:
+    """The invariant factors of a row lattice given by its echelon basis
+    ``d`` from ``_lattice_rows``: the column and row alternation of
+    ``smith_normal_form`` from its first column pass on, then the
+    divisibility sweep."""
     while any(len(row) - row.count(0) > 1 for row in d):
         d = _lattice_rows(len(d), zip(*d))
     factors = [abs(x) for row in d for x in row if x]
@@ -243,7 +266,11 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def cokernel(a: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroup:
     """Z^ambient_rank modulo the column span of ``a``."""
-    factors = smith_normal_form(a)
+    return _cokernel_of(smith_normal_form(a), ambient_rank)
+
+
+def _cokernel_of(factors: tuple[int, ...], ambient_rank: int) -> AbelianGroup:
+    """Z^ambient_rank modulo a lattice with these invariant factors."""
     return AbelianGroup(
         rank=ambient_rank - len(factors),
         torsion=tuple(x for x in factors if x > 1),
@@ -262,15 +289,16 @@ def _h1_of_classes(g: int, table: Sequence[tuple[Vec, int]]) -> AbelianGroup:
     The classes go in order into an echelon basis of their lattice
     (``_lattice_rows``).  Once it holds 2g rows with pivots +-1 it spans
     Z^2g, so H1 = 0, the usual case for a relator, and no further class
-    is read.  Otherwise Smith normal form reads its at most 2g rows:
-    they span the same lattice as the classes, so the cokernel is the
-    same.
+    is read.  Otherwise Smith normal form's alternation
+    (``_echelon_factors``) starts from its at most 2g rows, which span
+    the same lattice as the classes, so the cokernel is the same; they
+    are an echelon basis already, so no second row pass is made.
     """
     n = 2 * g
     rows = _lattice_rows(n, (u for u, _ in table))
     if len(rows) == n and all(abs(row[p]) == 1 for p, row in enumerate(rows)):
         return AbelianGroup(0)
-    return cokernel(rows, n)
+    return _cokernel_of(_echelon_factors(rows), n)
 
 
 def _lattice_rows(n: int, classes: Iterable[Vec]) -> list[list[int]]:

@@ -78,6 +78,9 @@ class CurveSystem:
             raise InvalidDeclaration("genus must be at least 2")
         self.genus = genus
         self._curves: dict[str, Vec | None] = {}
+        # each curve's support (``symplectic._support``), None when opaque:
+        # the class walk and validate_system pair with it
+        self._supports: dict[str, tuple[tuple[int, int, int, int], ...] | None] = {}
         self._decl_index: dict[str, int] = {}
         # the names declared disjoint from, and meeting once, each curve
         # (both symmetric); the normal form in words.normalize_conjugator
@@ -107,6 +110,7 @@ class CurveSystem:
             self.assumptions.append(f"curve {name}: homology class undeclared (opaque)")
         self._decl_index[name] = len(self._curves)
         self._curves[name] = cls
+        self._supports[name] = None if cls is None else sp._support(cls)
 
     def add_disjoint(self, a: str, b: str) -> None:
         self._add_pair("disjoint", self._disjoint_of, a, b)
@@ -188,6 +192,9 @@ class CurveSystem:
     def letter(self, base: str, conj: Iterable[tuple[str, int]] = ()) -> Letter:
         """A normalized letter; conjugator entries may carry exponents.
 
+        An exponent x is read as int(x) when that equals x (so 2.0 is 2),
+        and refused with InvalidDeclaration otherwise, as ``_ints`` does.
+
         Each call normalizes anew: the parser keeps the one memo, per atom
         text, and reads every atom after the last disjoint or meet1 fact.
         """
@@ -197,6 +204,7 @@ class CurveSystem:
         self._require_letter(base, conj)
         pairs: list[tuple[str, int]] = []
         for name, exp in conj:
+            exp, = _ints("conjugator exponent", (exp,))
             if exp == 0:
                 raise InvalidDeclaration("conjugator exponent must be nonzero")
             n = len(pairs) + abs(exp)
@@ -250,34 +258,34 @@ class CurveSystem:
         """Class of the twisted curve; None when opaque curves block it.
 
         The one walk from a letter's conjugator to its class, memoized
-        per system, so each distinct letter walks once.  A word's classes
-        are read from here once per position, into the one class table
-        (``symplectic._class_table``) that every invariant reads.
+        per system, so each distinct letter walks once.  Each twist reads
+        its curve's support, stored at declaration, for both the pairing
+        and the update.  A word's classes are read from here once per
+        position, into the one class table (``symplectic._class_table``)
+        that every invariant reads.
         """
         try:
             return self._classes[letter]
         except KeyError:
             pass
-        curves = self._curves
+        supports = self._supports
         try:
-            v = curves[letter.base]
+            v = self._curves[letter.base]
             if v is not None:
                 v = list(v)
-                n = len(v)
                 for name, sign in reversed(letter.conj):
-                    a = curves[name]
-                    if a is None:
+                    support = supports[name]
+                    if support is None:
                         v = None
                         break
                     # T_a^sign(v) = v + sign <v, a> a, in place
                     c = 0
-                    for i in range(0, n, 2):
-                        c += v[i] * a[i + 1] - v[i + 1] * a[i]
+                    for _, _, j, f in support:
+                        c += f * v[j]
                     if c:
                         c *= sign
-                        for i, x in enumerate(a):
-                            if x:
-                                v[i] += c * x
+                        for i, x, _, _ in support:
+                            v[i] += c * x
                 else:
                     v = tuple(v)
         except KeyError as exc:
@@ -362,10 +370,13 @@ def validate_system(system: CurveSystem) -> list[str]:
     violations = [f"pair ({a}, {b}): declared both disjoint and meet1"
                   for kind, a, b in pairs if kind == "disjoint" and system.is_meet1(a, b)]
     for kind, a, b in pairs:
-        ca, cb = system.class_of(a), system.class_of(b)
-        if ca is None or cb is None:
+        # <ca, cb> over the support of cb
+        ca, support = system._curves[a], system._supports[b]
+        if ca is None or support is None:
             continue
-        p = sp.pairing(ca, cb)
+        p = 0
+        for _, _, j, f in support:
+            p += f * ca[j]
         meet, spelled = required[kind]
         if abs(p) != meet:
             violations.append(f"{kind} ({a}, {b}): symplectic pairing is {p}, not {spelled}")

@@ -99,15 +99,16 @@ def test_h1_torsion_words_match_oracle():
 
 @pytest.fixture
 def snf_rows(monkeypatch):
-    """The row count of each Smith normal form call."""
+    """The row count of each Smith normal form alternation, which both
+    ``smith_normal_form`` and H1 enter through ``_echelon_factors``."""
     seen = []
-    real = sp.smith_normal_form
+    real = sp._echelon_factors
 
-    def spy(a):
-        seen.append(len(a))
-        return real(a)
+    def spy(d):
+        seen.append(len(d))
+        return real(d)
 
-    monkeypatch.setattr(sp, "smith_normal_form", spy)
+    monkeypatch.setattr(sp, "_echelon_factors", spy)
     return seen
 
 
@@ -146,6 +147,32 @@ def test_snf_reads_at_most_2g_rows_on_torsion(snf_rows):
         del snf_rows[:]
         sp._h1_of_classes(system.genus, table)
         assert snf_rows and max(snf_rows) <= 2 * system.genus
+
+
+def test_h1_with_torsion_makes_one_row_pass(monkeypatch):
+    # the echelon rows of the classes go straight to Smith normal form's
+    # column alternation; these rows are diagonal, so the row pass over
+    # the classes is the only echelon pass, where a second one would
+    # read the rows and return them unchanged
+    system = parse_system(TORSION.read_text(), str(TORSION))
+    n = 2 * system.genus
+    passes = []
+    real = sp._lattice_rows
+
+    def spy(width, classes):
+        classes = list(classes)
+        passes.append(classes)
+        return real(width, classes)
+
+    monkeypatch.setattr(sp, "_lattice_rows", spy)
+    for name, group in (("w", sp.AbelianGroup(2, (3,))), ("z", sp.AbelianGroup(0, (6,)))):
+        del passes[:]
+        w = system.words[name]
+        h1 = sp.h1_total_space(system, w)
+        classes = [u for u, _ in sp._known_classes(system, w.letters)]
+        assert passes == [classes]
+        factors = snf_oracle.invariant_factors([[u[i] for u in classes] for i in range(n)])
+        assert h1 == group == sp.AbelianGroup(n - len(factors), tuple(x for x in factors if x > 1))
 
 
 def seeded_table(rng, n, count, gens, scales):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from mcgcalc.errors import (
     UnknownCurve,
 )
 from mcgcalc.reports import Census, singular_fiber_census
-from mcgcalc.symplectic import mat_identity, mat_mul, pairing, transvection
+from mcgcalc.symplectic import mat_identity, mat_mul, pairing, transvection, twist_product
 from mcgcalc.system import (
     CurveSystem,
     RelationDecl,
@@ -19,6 +20,8 @@ from mcgcalc.system import (
     validate_relation_decl,
     validate_system,
 )
+from mcgcalc.words import Letter
+from tests.flat_oracle import twist_classes
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -65,12 +68,14 @@ def test_disjoint_and_meet1_conflict_is_violation():
 def test_violations_come_in_a_fixed_order():
     s = CurveSystem(2)
     for name, cls in [("c1", A1), ("c2", B1), ("c3", A2), ("c4", B2), ("c5", (1, 0, 1, 0)),
-                      ("p", None)]:
+                      ("c6", (0, 0, 0, 2)), ("c7", (0, 0, 2, 0)), ("p", None), ("z", (0,) * 4)]:
         s.add_curve(name, cls)
+    # a pair declared (b, a) is read as (a, b), with the sign of <a, b>
     for kind, a, b in [("meet1", "c4", "c1"), ("disjoint", "c3", "c2"), ("disjoint", "c5", "c2"),
                        ("meet1", "c3", "c1"), ("disjoint", "c4", "c3"), ("disjoint", "c2", "c1"),
                        ("meet1", "c1", "c2"), ("meet1", "p", "c1"), ("disjoint", "c5", "p"),
-                       ("meet1", "c5", "c4")]:
+                       ("meet1", "c5", "c4"), ("meet1", "c6", "c3"), ("meet1", "c7", "c4"),
+                       ("meet1", "z", "c1")]:
         (s.add_disjoint if kind == "disjoint" else s.add_meet1)(a, b)
     assert validate_system(s) == [
         "pair (c1, c2): declared both disjoint and meet1",
@@ -79,6 +84,9 @@ def test_violations_come_in_a_fixed_order():
         "disjoint (c3, c4): symplectic pairing is 1, not 0",
         "meet1 (c1, c3): symplectic pairing is 0, not +-1",
         "meet1 (c1, c4): symplectic pairing is 0, not +-1",
+        "meet1 (c1, z): symplectic pairing is 0, not +-1",
+        "meet1 (c3, c6): symplectic pairing is 2, not +-1",
+        "meet1 (c4, c7): symplectic pairing is -2, not +-1",
     ]
 
 
@@ -418,3 +426,76 @@ def test_add_septype_refuses_a_non_integer(h):
     assert s.septype == {}
     s.add_septype("d", 2.0)
     assert s.septype == {"d": 2} and type(s.septype["d"]) is int
+
+
+@pytest.mark.parametrize("exp", [1.5, -0.5, "x", "2", None, float("nan"), float("inf"), (1,)])
+def test_letter_refuses_a_non_integer_exponent(g2, exp):
+    with pytest.raises(InvalidDeclaration, match="^conjugator exponent must be an integer$"):
+        g2.letter("c1", [("c2", exp)])
+    # names are still checked first
+    with pytest.raises(UnknownCurve):
+        g2.letter("c1", [("c2", exp), ("nowhere", 1)])
+
+
+def test_letter_reads_an_integral_exponent_as_an_int(g2):
+    assert g2.letter("c1", [("c2", 2.0), ("c3", -1.0)]) == g2.letter("c1", [("c2", 2), ("c3", -1)])
+    assert g2.letter("c1", [("c2", True)]) == g2.letter("c1", [("c2", 1)])
+    with pytest.raises(InvalidDeclaration, match="^conjugator exponent must be nonzero$"):
+        g2.letter("c1", [("c2", -0.0)])
+
+
+def walk_cases(rng, count):
+    """A genus-3 system with a zero class, two opaque curves and classes of
+    every support size, and seeded letters over it and one undeclared name."""
+    s = CurveSystem(3)
+    names = []
+    for k in range(7):
+        for copy in range(2):
+            cls = [0] * 6
+            for i in rng.sample(range(6), k):
+                cls[i] = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 2**70])
+            names.append(f"s{k}_{copy}")
+            s.add_curve(names[-1], cls)
+    s.add_curve("zero", (0,) * 6)
+    for name in ("x", "y"):
+        s.add_curve(name, None)
+    pool = names + ["zero"] * 2 + ["x", "y", "nowhere"]
+    letters = []
+    for _ in range(count):
+        conj = []
+        for _ in range(rng.randrange(0, 6)):
+            twist = (rng.choice(pool), rng.choice([1, -1]))
+            if conj and conj[-1] == (twist[0], -twist[1]):
+                continue
+            conj.append(twist)
+        letters.append(Letter(tuple(conj), rng.choice(pool)))
+    return s, letters
+
+
+def test_class_walk_matches_flattened_oracle():
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(4):
+        s, letters = walk_cases(rng, 150)
+        for letter in letters:
+            names = [name for name, _ in letter.conj]
+            # the walk reads the base, then the conjugator right to left,
+            # and ends at the first opaque or undeclared curve
+            first = next((name for name in [letter.base] + names[::-1]
+                          if name == "nowhere" or s.class_of(name) is None), None)
+            if first == "nowhere":
+                seen.add("undeclared")
+                with pytest.raises(UnknownCurve, match="^curve 'nowhere' is not declared$"):
+                    s.homology_class_of_letter(letter)
+                continue
+            u = s.homology_class_of_letter(letter)
+            assert s.homology_class_of_letter(letter) is u  # the memo
+            if first is not None:
+                seen.add("opaque")
+                assert u is None
+                continue
+            seen.add("zero" if "zero" in names or letter.base == "zero" else "class")
+            for sign in (1, -1):
+                flat = list(twist_classes(s, letter.flatten(sign)))
+                assert twist_product(mat_identity(6), flat) == transvection(u, sign)
+    assert seen == {"undeclared", "opaque", "zero", "class"}

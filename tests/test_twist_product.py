@@ -49,7 +49,16 @@ def huge_twist(rng, n):
                   else rng.randrange(-3, 4) for _ in range(n)), rng.choice([1, -1]))
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+def sparse_twist(rng, n, k, big):
+    """A class with exactly k nonzero entries at seeded places, each small
+    or, with ``big``, past 2^64, and a sign."""
+    v = [0] * n
+    for i in rng.sample(range(n), k):
+        v[i] = rng.choice([-1, 1]) * (rng.randrange(2**64, 2**66) if big else rng.randrange(1, 4))
+    return tuple(v), rng.choice([1, -1])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 6])
 def test_twist_product_matches_dense_product(g):
     rng = random.Random(100 + g)
     n = 2 * g
@@ -61,6 +70,9 @@ def test_twist_product_matches_dense_product(g):
             start = dense_product(start, random_twists(rng, n, 3))
         twists = random_twists(rng, n, rng.randrange(0, 4))
         twists.insert(rng.randrange(len(twists) + 1), (zero, rng.choice([1, -1])))
+        # the update reads only a class's nonzero entries: every count of
+        # them from 1 to 2g, small or past 2^64
+        twists.insert(rng.randrange(len(twists) + 1), sparse_twist(rng, n, 1 + k % n, k // n % 2))
         if k % 2:
             # classes past 2^64, and a start matrix with such entries
             twists.insert(rng.randrange(len(twists) + 1), huge_twist(rng, n))
