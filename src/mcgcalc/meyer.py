@@ -27,9 +27,10 @@ q(z, z') = -s psi(z) phi(z'), the symmetrized form is
   since <x0, v> = <y0, v> + <v, v>, whatever y0 is chosen.
 
 So tau(A, T_v^s) is one of -1, 0, 1 and costs at most one exact linear
-solve (fraction-free elimination, ``_transvection_tau``) instead of a
-kernel and a symmetric signature.  The general ``meyer_tau`` keeps the
-definition and is the oracle the tests hold the fast path to.
+solve (``_transvection_tau``, through the rational span routine
+``symplectic._extend_span``) instead of a kernel and a symmetric
+signature.  The general ``meyer_tau`` keeps the definition and is the
+oracle the tests hold the fast path to.
 
 The sum is additive over relator blocks: once the partial product is
 back at I or at -I, the sum goes on as if the word started there, as
@@ -70,8 +71,9 @@ prefix is I and the walk did not split.  Otherwise they are read again
 as one walk from the true prefix, with the span skip only from I.
 
 Everything here is exact integer arithmetic: kernels come from the
-integer echelon basis of ``symplectic._lattice_rows``, the solve from
-fraction-free elimination and the signature from a congruence
+integer echelon basis of ``symplectic._lattice_rows``, the solve and the
+span skip from the content-divided echelon rows of
+``symplectic._extend_span`` and the signature from a congruence
 recursion, so no floating point ever enters.  The sign conventions
 (transvection sign, left-to-right partial products, overall sign of the
 sum) are pinned by the calibration sigma = -12 for the 20-letter
@@ -195,50 +197,27 @@ def meyer_tau(a: Mat, b: Mat) -> int:
 def _transvection_tau(a: Sequence[Sequence[int]], v: Sequence[int], s: int) -> int:
     """tau(A, T_v^s) for symplectic A and s = +-1, as derived above.
 
-    Solves (A - I)y = v by fraction-free (Bareiss) elimination, with
-    the functional w = <., v> as row n, after the pivot candidates: it
-    is eliminated but never a pivot.  Pivot rows are swapped up to the
-    front.  The system is solvable iff the rows left without a pivot
-    are zero on the right.  Then w lies in the row space (it vanishes
-    on ker(A - I)), so its row ends as (0 | t) with t = -D <y, v> for D
-    the last pivot, and s + <y, v> = (s D - t) / D.
-
-    Bareiss keeps every entry an integer minor, but it rescales each
-    row by p / d at every pivot p.  A row whose entry in the pivot
-    column is 0 is left as stored instead, together with the pivot
-    ``ref`` it was exact for: its true value is stored * d / ref, so
-    the Bareiss update of that row is (p * row - f * pivot row) // ref.
-    Entries left of the current column are never read again.
+    Two uses of ``_extend_span`` on rows of length n + 2.  The rows
+    (A - I | v | 0) go in first: (A - I)y = v has no solution exactly
+    when one of them pivots on column n, and then tau is 0.  Otherwise
+    the row (w | 0 | 1) for the functional w = <., v> goes in.  w lies
+    in the row space of A - I (it vanishes on ker(A - I)), so the row
+    reduces to (0 | c | d) with d w = z^T (A - I) for some z; d != 0,
+    as each step multiplies it by a pivot.  Then c = -z^T v = -d <y, v>,
+    so s + <y, v> = (s d - c) / d.
     """
     if not any(v):
         return 0
     n = len(a)
-    # rows of (A - I | v), then w: <e_j, v> is v[j+1] for even j, -v[j-1] for odd j
-    rows = [[[*arow[:i], arow[i] - 1, *arow[i + 1:], v[i]], 1] for i, arow in enumerate(a)]
-    rows.append([[v[j + 1] if j % 2 == 0 else -v[j - 1] for j in range(n)] + [0], 1])
-    d, r = 1, 0  # rows[:r] are the pivot rows so far
-    for c in range(n):
-        for k in range(r, n):
-            if rows[k][0][c]:
-                break
-        else:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        prow, ref = rows[r]
-        r += 1
-        p = prow[c] * d // ref
-        tail = [x * d // ref for x in prow[c + 1:]] if ref != d else prow[c + 1:]
-        for entry in rows[r:]:
-            row, ref = entry
-            f = row[c]
-            if f:
-                row[c + 1:] = [(p * x - f * y) // ref for x, y in zip(row[c + 1:], tail)]
-                entry[1] = p
-        d = p
-    if any(row[n] for row, _ in rows[r:n]):
-        return 0
-    row, ref = rows[n]
-    num = s * d - row[n] * d // ref
+    basis = []
+    for i, arow in enumerate(a):
+        row = [*arow[:i], arow[i] - 1, *arow[i + 1:], v[i], 0]
+        if _extend_span(basis, row) and basis[-1][0] == n:
+            return 0
+    # <e_j, v> is v[j+1] for even j, -v[j-1] for odd j
+    _extend_span(basis, [v[j + 1] if j % 2 == 0 else -v[j - 1] for j in range(n)] + [0, 1])
+    *_, c, d = basis[-1][1]
+    num = s * d - c
     if num == 0:
         return 0
     return -1 if (num > 0) == (d > 0) else 1

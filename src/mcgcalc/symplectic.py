@@ -23,7 +23,9 @@ which H1 enters with its own rows when they are not all of Z^2g), and
 ``meyer.integer_kernel`` reads a kernel basis from it.
 
 Every rational span question goes through ``_extend_span``: whether a
-class lies in the Meyer walk's span, and the lantern solver's image of M - I.
+class lies in the Meyer walk's span, the Meyer solve of (A - I)y = v
+with the value of <y, v> (``meyer._transvection_tau``), and the lantern
+solver's image of M - I.
 """
 
 from __future__ import annotations
@@ -351,12 +353,14 @@ def _lattice_rows(n: int, classes: Iterable[Vec]) -> list[list[int]]:
     return [row for row in rows if row is not None]
 
 
-def _extend_span(basis: list[tuple[int, list[int]]], u: Sequence[int]) -> bool:
+def _extend_span(basis: list[tuple[int, Sequence[int]]], u: Sequence[int]) -> bool:
     """Add u to the echelon rows of a span, or return False if it lies in it.
 
     Each row (p, b) has b[p] != 0 and is zero at every earlier row's
     pivot, so clearing u at the pivots in order leaves 0 exactly when u
     is in the span.  Rows stay fraction-free, divided by their content.
+    A row of content 1 is appended as it is, so it may be the caller's
+    own vector u; no row is ever changed.
     """
     for p, row in basis:
         f = u[p]
@@ -366,6 +370,6 @@ def _extend_span(basis: list[tuple[int, list[int]]], u: Sequence[int]) -> bool:
     for p, x in enumerate(u):
         if x:
             g = gcd(*u)
-            basis.append((p, [y // g for y in u]))
+            basis.append((p, u if g == 1 else [y // g for y in u]))
             return True
     return False

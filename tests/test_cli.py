@@ -29,6 +29,15 @@ def test_check_invalid_system(capsys, tmp_path):
     assert "violation" in out
 
 
+def test_check_septype_outside_its_range(capsys, tmp_path):
+    # at genus 3 a separating curve has type 1 only
+    bad = tmp_path / "bad.mcg"
+    bad.write_text("genus 3\ncurve n = 0\nseptype n 2\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, err) == (1, "")
+    assert out == f"violation: septype n: type 2 outside 1..1\n{bad}: INVALID (1 violation(s))\n"
+
+
 def test_check_failing_relation_stops_loading(capsys, tmp_path):
     # not a listed violation: loading stops at the relation, as it does
     # for every other command
@@ -134,6 +143,17 @@ def test_replay_corrupted_script_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "replay", G2, str(bad))
     assert code == 1
     assert "step 2" in err
+
+
+def test_replay_expect_mismatch_exits_1(capsys, tmp_path):
+    script = tmp_path / "s.script"
+    script.write_text("script s on rho:\n  rot 1\n  expect rho\n")
+    code, out, err = run(capsys, "replay", G2, str(script))
+    rho = "c5 c4 c3 c2 c1 c1 c2 c3 c4 c5 c5 c4 c3 c2 c1 c1 c2 c3 c4 c5"
+    rotated = "c5 c5 c4 c3 c2 c1 c1 c2 c3 c4 c5 c5 c4 c3 c2 c1 c1 c2 c3 c4"
+    assert (code, out) == (1, "")
+    assert err == (f"replay failed at step 1: step 1 (expect): final word {rotated} "
+                   f"does not equal rho = {rho}\n")
 
 
 def test_replay_named_script(capsys):

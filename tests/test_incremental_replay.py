@@ -103,6 +103,8 @@ def replay_full(system, script):
     result.final = w
     result.sigma_final = _sigma(system, w)
     if script.expect is not None:
+        if script.expect not in system.words:
+            raise ScriptError(0, "expect", f"word {script.expect!r} is not declared")
         expected = system.words[script.expect]
         result.expected_matched = w == expected
         if not result.expected_matched:
@@ -366,9 +368,10 @@ script notrelator on bad:
 def round_trip():
     system = parse_system(ROUND_TRIP)
     scripts = parse_scripts(ROUND_TRIP_SCRIPTS, system)
-    # the parser refuses these two, but replay_script takes any script
+    # the parser refuses these three, but replay_script takes any script
     scripts["nosource"] = DerivationScript("nosource", "nothing", (Rotate(1),))
     scripts["norelation"] = DerivationScript("norelation", "src", (Elem(1, "R"), Subst("LZ", 1, "fwd")))
+    scripts["noexpect"] = DerivationScript("noexpect", "src", (Rotate(1),), expect="nothing")
     return system, scripts
 
 
@@ -380,6 +383,7 @@ def round_trip():
         ("notrelator", ("NotARelator", None, "word is not a homological relator")),
         ("nosource", ("ScriptError", 0, "step 0 (source): word 'nothing' is not declared")),
         ("norelation", ("ScriptError", 2, "step 2 (subst LZ @ 1 fwd): relation 'LZ' is not declared")),
+        ("noexpect", ("ScriptError", 0, "step 0 (expect): word 'nothing' is not declared")),
     ],
 )
 def test_failing_scripts_match_the_oracle(round_trip, name, expected):

@@ -82,6 +82,12 @@ def test_wrong_length_raises():
         pairing((1, 0), (1, 0, 0, 0))
 
 
+def test_is_symplectic_refuses_a_matrix_of_the_wrong_shape():
+    assert not is_symplectic(((1, 0, 0, 0), (0, 1, 0, 0)))  # not square
+    assert not is_symplectic(((1, 0), (0, 1, 0)))  # ragged
+    assert not is_symplectic(mat_identity(3))  # odd size
+
+
 def test_symplectic_inverse():
     rng = random.Random(9)
     for _ in range(50):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mcgcalc.errors import (
+    DimensionError,
     InvalidDeclaration,
     InvalidRelation,
     MalformedRelation,
@@ -97,6 +98,8 @@ def test_unknown_curve_raises():
         s.class_of("zz")
     with pytest.raises(UnknownCurve):
         s.add_disjoint("c1", "zz")
+    with pytest.raises(UnknownCurve, match="^curve 'nope' is not declared$"):
+        s.decl_index("nope")
 
 
 def test_homology_class_of_conjugated_letter(g2):
@@ -407,6 +410,13 @@ def test_add_curve_refuses_non_integer_entries(cls):
     s = CurveSystem(2)
     with pytest.raises(InvalidDeclaration, match="^each entry of the class of 'c' must be an integer$"):
         s.add_curve("c", cls)
+    assert s.curve_names == ()
+
+
+def test_add_curve_refuses_a_class_of_the_wrong_length():
+    s = CurveSystem(2)
+    with pytest.raises(DimensionError, match="^class of 'x' has length 3, expected 4$"):
+        s.add_curve("x", (1, 0, 0))
     assert s.curve_names == ()
 
 

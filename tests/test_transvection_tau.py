@@ -21,6 +21,7 @@ from mcgcalc.symplectic import (
 )
 from tests.flat_oracle import twist_classes
 from tests.local_signature_oracle import transvection_tau as oracle_tau
+from tests.test_incremental_replay import chain_text
 from tests.test_symplectic import rank_over_q
 from tests.test_twist_product import hurwitz_walk, prefix_products, random_twists, relator_cases
 
@@ -37,13 +38,14 @@ def solvable(a, v):
     return rank_over_q(m) == rank_over_q([row + [x] for row, x in zip(m, av)])
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", range(1, 7))
 def test_transvection_tau_matches_general_cocycle(g):
     rng = random.Random(300 + g)
     n = 2 * g
     values = Counter()
     unsolvable = 0
-    for trial in range(400):
+    # meyer_tau's kernel grows as n^3, so the larger genera draw fewer cases
+    for trial in range(400 if g <= 3 else 150):
         a = random_symplectic(rng, n)
         if trial % 10 == 0:
             v = (0,) * n
@@ -62,6 +64,31 @@ def test_transvection_tau_matches_general_cocycle(g):
             assert tau == 0
     assert set(values) == {-1, 0, 1}
     assert unsolvable > 0
+
+
+@pytest.mark.parametrize("g", [3, 4])
+@pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+def test_transvection_tau_on_chain_relator_prefixes(g, odd):
+    # the chain relators (c1 ... c_(2g+1))^(2g+2) and (c1 ... c_2g)^(4g+2)
+    # have no central point early, so their running products from I make
+    # many solves, and P - I is singular at a quarter to a third of the
+    # steps: rank-deficient eliminations, with and without a solution
+    system = parse_system(chain_text(g))
+    n = 2 * g
+    m = n + 1 if odd else n
+    classes = [system.class_of(f"c{i}") for i in range(1, m + 1)] * (m + 1 if odd else 2 * m + 2)
+    prefix = [list(row) for row in mat_identity(n)]
+    singular = Counter()
+    for u in classes:
+        a = tuple(map(tuple, prefix))
+        tau = _transvection_tau(prefix, u, 1)
+        assert tau == meyer_tau(a, transvection(u))
+        if rank_over_q([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]) < n:
+            singular[solvable(a, u)] += 1
+        prefix = [list(row) for row in twist_product(a, ((u, 1),))]
+    assert prefix == [list(row) for row in mat_identity(n)]
+    assert singular[True] > 0 and singular[False] > 0
+    assert 0.1 < sum(singular.values()) / len(classes) < 0.4
 
 
 @st.composite
