@@ -29,9 +29,11 @@ from a system file to a validated system.
 A line is read by one ``findall``.  On ``word`` and relation lines an
 atom ``[W]c`` whose W holds only name characters, digits, ``^``, ``-``
 and whitespace is one token.  A parse's memo keeps each distinct atom
-text's letter and each distinct W's twists, which ``_read_conj`` reads
-with one ``findall`` as (name, +-1) twists, noting whether every name is
-declared; the script ``conj`` step reads its CONJ alike.
+text's ``words._Atom`` and each distinct W's twists, which ``_read_conj``
+reads with one ``findall`` as (name, +-1) twists, noting whether every
+name is declared; the script ``conj`` step reads its CONJ alike.  Each
+atom text is read and checked once per file, and normalized once, when a
+relation holding it is declared or a word holding it is first read.
 
 Script files hold derivations:
 
@@ -52,7 +54,7 @@ from collections.abc import Iterator
 from .errors import InvalidSystem, ParseError, UnknownCurve
 from .moves import Conj, DerivationScript, Elem, Rotate, Subst
 from .system import RELATION_KINDS, CurveSystem, make_relation, validate_system
-from .words import MAX_WORD_LETTERS, Letter, Pair, Word
+from .words import MAX_WORD_LETTERS, Pair, Word, _Atom, _ParsedWord
 
 # Largest genus a system may declare.  Every class is a vector of 2g
 # integers and every image a 2g x 2g matrix, so a genus of 10^10 would
@@ -144,8 +146,8 @@ _BASIS = re.compile(r"([ab])(\d+)$")
 _ATOM_STATEMENTS = frozenset(("word", *RELATION_KINDS))
 
 # an atom's token, a plain atom's name or a conjugated atom's text, to its
-# letter; and a conjugator's "[W]" to its twists and declared flag
-_Memo = dict[str, "Letter | tuple[list[Pair], bool]"]
+# atom; and a conjugator's "[W]" to its twists and declared flag
+_Memo = dict[str, "_Atom | tuple[list[Pair], bool]"]
 
 
 def _is_name(tok: str | None) -> bool:
@@ -268,16 +270,16 @@ def _read_atom(text: str, pos: int, line: int, curves: dict) -> tuple[str, list[
     return base.group(1), twists, declared
 
 
-def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
-    """The next atom's letter.  ``memo`` holds this parse's atoms, keyed on the token (a name
-    or a conjugated atom's text), so a repeated atom costs one lookup, and their conjugators,
+def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> _Atom:
+    """The next atom.  ``memo`` holds this parse's atoms, keyed on the token (a name or a
+    conjugated atom's text), so a repeated atom costs one lookup, and their conjugators,
     keyed on "[W]", so atoms that share W read it once; it stores only what reads."""
     seq, i = toks.toks, toks.i
     tok = seq[i] if i < len(seq) else toks.next()
     toks.i = i + 1
-    letter = memo.get(tok)
-    if letter is not None:
-        return letter
+    atom = memo.get(tok)
+    if atom is not None:
+        return atom
     base, twists, declared = tok, (), True
     if tok[0] == "[":
         key = tok[: tok.find("]") + 1]  # no atom token ends in "]"
@@ -292,10 +294,10 @@ def _parse_atom(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Letter:
     elif not _is_name(tok):
         raise ParseError("expected curve name", toks.line, toks.last_col(), tok)
     try:
-        letter = memo[tok] = system._twisted(base, twists, declared)
+        atom = memo[tok] = _Atom(system, base, twists, declared)
     except UnknownCurve as exc:
         raise ParseError(str(exc), toks.line) from exc
-    return letter
+    return atom
 
 
 def _word_power(toks: _Tokens) -> int:
@@ -306,16 +308,16 @@ def _word_power(toks: _Tokens) -> int:
     return power
 
 
-def _extend(letters: list[Letter], unit: list[Letter], power: int, line: int) -> None:
+def _extend(atoms: list[_Atom], unit: list[_Atom], power: int, line: int) -> None:
     """Append ``unit`` ``power`` times, refusing past MAX_WORD_LETTERS."""
-    if len(letters) + len(unit) * power > MAX_WORD_LETTERS:
+    if len(atoms) + len(unit) * power > MAX_WORD_LETTERS:
         raise ParseError(f"word expression expands past {MAX_WORD_LETTERS} letters", line)
-    letters.extend(unit * power)
+    atoms.extend(unit * power)
 
 
-def _parse_word_expr(toks: _Tokens, system: CurveSystem, memo: _Memo, depth: int = 0) -> list[Letter]:
+def _parse_word_expr(toks: _Tokens, system: CurveSystem, memo: _Memo, depth: int = 0) -> list[_Atom]:
     seq, n = toks.toks, len(toks.toks)
-    letters = []
+    atoms = []
     while toks.i < n:
         tok = seq[toks.i]
         if tok == ")":
@@ -329,25 +331,24 @@ def _parse_word_expr(toks: _Tokens, system: CurveSystem, memo: _Memo, depth: int
             inner = _parse_word_expr(toks, system, memo, depth + 1)
             toks.next(")")
             toks.next("^")
-            _extend(letters, inner, _word_power(toks), toks.line)
+            _extend(atoms, inner, _word_power(toks), toks.line)
             continue
         atom = _parse_atom(toks, system, memo)
         power = 1
         if toks.i < n and seq[toks.i] == "^":
             toks.i += 1
             power = _word_power(toks)
-        _extend(letters, [atom], power, toks.line)
-    if not letters:
+        _extend(atoms, [atom], power, toks.line)
+    if not atoms:
         raise ParseError("empty word expression", toks.line)
-    return letters
+    return atoms
 
 
 def _word_body(toks: _Tokens, system: CurveSystem, memo: _Memo) -> Word:
-    """The word the rest of the line spells.  It is positive, so free
-    reduction would cancel nothing: the Word is built as reduced."""
-    letters = _parse_word_expr(toks, system, memo)
+    """The word the rest of the line spells, its letters built at first read."""
+    atoms = _parse_word_expr(toks, system, memo)
     toks.require_done()
-    return Word(system, [(l, 1) for l in letters], _reduced=True)
+    return _ParsedWord(system, atoms)
 
 
 def parse_word(system: CurveSystem, text: str, line: int = 0) -> Word:
@@ -424,7 +425,9 @@ def _resolve(system: CurveSystem, pending: list) -> None:
     """Add the pending (line number, tokens, statement) relations and words, in file order.
 
     They resolve after all curves exist, and after every disjoint and
-    meet1 fact, so an atom text has one letter per parse.
+    meet1 fact, so an atom text has one letter per parse.  A relation's
+    atoms are normalized here, for ``add_relation`` to check; a word's
+    when it is first read.
     """
     memo: _Memo = {}
     for lineno, toks, stmt in pending:
@@ -441,7 +444,7 @@ def _resolve(system: CurveSystem, pending: list) -> None:
                 toks.next("=>")
                 atoms += [_parse_atom(toks, system, memo) for _ in range(shape.after)]
             toks.require_done()
-            system.add_relation(make_relation(stmt, name, *atoms))
+            system.add_relation(make_relation(stmt, name, *(atom.read(system)[0] for atom in atoms)))
         except (ValueError, UnknownCurve) as exc:
             raise ParseError(str(exc), lineno) from exc
 

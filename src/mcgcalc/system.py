@@ -71,7 +71,12 @@ class RelationDecl(Frozen):
 
 
 class CurveSystem:
-    """Registry of curves, declared facts, relations, and fixture words."""
+    """Registry of curves, declared facts, relations, and fixture words.
+
+    A parsed word's letters are normalized against the disjoint and meet1
+    facts as they stand when its letters are first read, so the facts must
+    not change after load (see the module docstring).
+    """
 
     def __init__(self, genus: int):
         if genus < 2:
@@ -196,11 +201,11 @@ class CurveSystem:
         and refused with InvalidDeclaration otherwise, as ``_ints`` does.
 
         Each call normalizes anew: the parser keeps the one memo, per atom
-        text, and reads every atom after the last disjoint or meet1 fact.
+        text, and normalizes an atom when a relation holding it is declared
+        or a word holding it is first read, after the last disjoint or
+        meet1 fact.
         """
         conj = tuple(conj)
-        if not conj:
-            return self._twisted(base, conj)
         self._require_letter(base, conj)
         pairs: list[tuple[str, int]] = []
         for name, exp in conj:
@@ -214,18 +219,12 @@ class CurveSystem:
             pairs += [(name, 1 if exp > 0 else -1)] * abs(exp)
         return self._twisted(base, pairs)
 
-    def _twisted(self, base: str, twists: Sequence[tuple[str, int]], declared: bool = True) -> Letter:
+    def _twisted(self, base: str, twists: Sequence[tuple[str, int]]) -> Letter:
         """The normalized letter over ``base`` whose conjugator is ``twists``,
-        each (name, +-1) with its exponent already expanded.
-
-        ``declared`` says that every twist's name is declared; only when
-        it is false, or the base is not declared, are the names walked,
-        base first, so that UnknownCurve names the first undeclared curve.
-        ``twists`` is read and not changed, so a caller may hand one list
-        over for several bases.
+        each (name, +-1) with its exponent already expanded; the caller has
+        checked that every curve is declared.  ``twists`` is read and not
+        changed, so a caller may hand one list over for several bases.
         """
-        if not declared or base not in self._curves:
-            self._require_letter(base, twists)
         if not twists:
             # a plain letter is its own normal form
             return Letter((), base)

@@ -283,6 +283,49 @@ class Word:
         return render_word(self)
 
 
+class _Atom:
+    """One atom text of a parse, ``c`` or ``[W]c``: its base and its twists,
+    each exponent expanded, and its (letter, 1) pair once built.
+
+    Construction refuses an undeclared curve (UnknownCurve), walking the
+    names, base first, only when ``declared`` is false or the base is not
+    declared.  The letter is normalized through ``system._twisted`` on the
+    first ``read``.  A parse keeps one atom per distinct text, so the words
+    and relations that hold the text share one normalization and one Letter.
+    """
+
+    __slots__ = ("base", "twists", "pair")
+
+    def __init__(self, system, base: str, twists: list[Pair], declared: bool):
+        if not declared or base not in system._curves:
+            system._require_letter(base, twists)
+        self.base, self.twists, self.pair = base, twists, None
+
+    def read(self, system) -> tuple[Letter, int]:
+        if self.pair is None:
+            self.pair = (system._twisted(self.base, self.twists), 1)
+        return self.pair
+
+
+class _ParsedWord(Word):
+    """A parsed word: one ``_Atom`` per position, read into its letters the
+    first time ``letters`` is, so a word no command reads normalizes
+    nothing.  It is positive, so free reduction would cancel nothing."""
+
+    __slots__ = ("_atoms", "_letters")
+
+    def __init__(self, system, atoms: list[_Atom]):
+        self.system, self._atoms, self._letters = system, atoms, None
+
+    @property
+    def letters(self) -> tuple[tuple[Letter, int], ...]:
+        if self._letters is None:
+            system = self.system
+            self._letters = tuple([atom.pair or atom.read(system) for atom in self._atoms])
+            self._atoms = None
+        return self._letters
+
+
 def render_word(word: Word) -> str:
     if not word.letters:
         return "1"

@@ -474,14 +474,15 @@ def test_a_failed_conjugator_read_is_not_stored(monkeypatch):
     with pytest.raises(ParseError, match="line 3: curve 'zz' is not declared"):
         parser._parse_atom(toks, SYSTEM, memo)
     assert memo == {"[c1 c3]": ([("c1", 1), ("c3", 1)], True)}
-    assert parser._parse_atom(toks, SYSTEM, memo) == SYSTEM.letter("c2", [("c1", 1), ("c3", 1)])
+    assert parser._parse_atom(toks, SYSTEM, memo).read(SYSTEM) == (SYSTEM.letter("c2", [("c1", 1), ("c3", 1)]), 1)
     assert len(calls) == 5
 
 
 def test_each_distinct_atom_text_is_normalized_once_through_the_system_module(monkeypatch):
     """The parser normalizes through the name ``mcgcalc.system`` binds, where
-    the benchmark's tracer wraps it, once per distinct conjugated atom text;
-    a plain atom is not normalized."""
+    the benchmark's tracer wraps it, once per distinct conjugated atom text,
+    at first read: a relation's atoms at parse, a word's when its letters are
+    first read; a plain atom is not normalized."""
     normalized = []
     real = system_module.normalize_conjugator
 
@@ -493,9 +494,15 @@ def test_each_distinct_atom_text_is_normalized_once_through_the_system_module(mo
     s = parse_system(HEAD + "word u = [c1 c2^-1]c3 c4 [c1 c2^-1]c3 [c1 c2^-1]c5 c4\n"
                             "commute r : [c1 c2^-1]c3 [c1 c2^-1]c3\n"
                             "word v = [c1 c2^-1]c5 [c2]c1\n")
+    assert normalized == ["c3"]
+    assert len(s.words["u"]) == 5
+    assert normalized == ["c3", "c5"]
+    assert repr(s.words["u"]) and normalized == ["c3", "c5"]
+    assert s.words["v"].letters[0] == s.words["u"].letters[3]
     assert normalized == ["c3", "c5", "c1"]
-    parse_word(s, "[c1 c2^-1]c3 [c1 c2^-1]c3 c4")
-    assert normalized == ["c3", "c5", "c1", "c3"]
+    word = parse_word(s, "[c1 c2^-1]c3 [c1 c2^-1]c3 c4")
+    assert normalized == ["c3", "c5", "c1"]
+    assert len(word) == 3 and normalized == ["c3", "c5", "c1", "c3"]
 
 
 def test_atom_token_columns_under_unicode_whitespace():

@@ -310,20 +310,27 @@ def test_each_atom_text_is_normalized_once(monkeypatch):
     calls = []
     twisted = CurveSystem._twisted
 
-    def spy(system, base, twists, *rest):
+    def spy(system, base, twists):
         calls.append((base, len(twists)))
-        return twisted(system, base, twists, *rest)
+        return twisted(system, base, twists)
 
     monkeypatch.setattr(CurveSystem, "_twisted", spy)
     s = parse_system(REPEATS)
-    # c1, [c1^2]c2, c2 and [c2]c1 from u, then [c1 c1]c2 and c3 from v;
-    # the relations repeat only texts already read
-    assert calls == [("c1", 0), ("c2", 2), ("c2", 0), ("c1", 1), ("c2", 2), ("c3", 0)]
+    # the parse builds only the relations' atoms, each text once, in file
+    # order: [c1^2]c2 and c1 from B, [c2]c1 and c3 from C, c2 from D
+    assert calls == [("c2", 2), ("c1", 0), ("c1", 1), ("c3", 0), ("c2", 0)]
+    # a word builds, at its first read, the texts not built yet: v's
+    # [c1 c1]c2; then u, whose texts are all built, and a second read of
+    # either build nothing
+    v = [letter for letter, _ in s.words["v"].letters]
+    assert calls[5:] == [("c2", 2)]
+    u = [letter for letter, _ in s.words["u"].letters]
+    assert list(s.words["v"]) == list(s.words["v"].letters) and len(s.words["u"]) == 6
+    assert len(calls) == 6
 
     def same(got, want):
         return len(got) == len(want) and all(x is y for x, y in zip(got, want))
 
-    u, v = ([letter for letter, _ in s.words[name].letters] for name in "uv")
     c1, c1c2, c2, c2c1 = u[0], u[1], u[2], u[5]
     c3 = v[1]
     assert same(u, [c1, c1c2, c2, c1, c1c2, c2c1])
