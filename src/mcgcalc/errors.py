@@ -69,8 +69,9 @@ class MoveOutOfRange(McgError, IndexError):
 class InvalidDeclaration(McgError, ValueError):
     """A system declaration the registry refuses: a genus below 2, a name
     declared twice, a pair that names one curve twice, a zero conjugator
-    exponent, or a class entry or septype x that is not int(x), such as
-    1.5 or '3'.  Also a ValueError, the type it raised before it had its own."""
+    exponent, or a genus, class entry or septype x that is not int(x),
+    such as 1.5 or '3'.  Also a ValueError, the type it raised before it
+    had its own."""
 
 
 class InvalidCensus(McgError, ValueError):

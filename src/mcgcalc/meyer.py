@@ -83,6 +83,7 @@ genus-2 relator; tests assert this.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import lru_cache
 
 from . import symplectic as sp
 from .errors import DimensionError, InvalidCensus, NotARelator, NotPositive, NotSymplectic
@@ -122,7 +123,9 @@ def signature_of_symmetric(s: Sequence[Sequence[int]]) -> int:
     previous pivot prev, 1 at the start.  The division is exact, and the
     block stays prev times the Schur complement of the matrix reached by
     these congruences, so the true pivot p / prev has the sign of
-    p * prev.
+    p * prev.  Swaps and the pair addition are congruences, so the block
+    stays symmetric: each step computes one entry per unordered pair and
+    mirrors it.  The argument is not changed.
     """
     n = len(s)
     for i, row in enumerate(s):
@@ -156,7 +159,14 @@ def signature_of_symmetric(s: Sequence[Sequence[int]]) -> int:
         top = a[0]
         p = top[0]
         sig += 1 if (p > 0) == (prev > 0) else -1
-        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
+        m = len(a) - 1
+        block = [[0] * m for _ in range(m)]
+        for i, row in enumerate(a[1:]):
+            c = row[0]
+            new = block[i]
+            for j in range(i, m):
+                new[j] = block[j][i] = (p * row[j + 1] - c * top[j + 1]) // prev
+        a = block
         prev = p
     return sig
 
@@ -211,7 +221,8 @@ def _transvection_tau(a: Sequence[Sequence[int]], v: Sequence[int], s: int) -> i
     n = len(a)
     basis = []
     for i, arow in enumerate(a):
-        row = [*arow[:i], arow[i] - 1, *arow[i + 1:], v[i], 0]
+        row = [*arow, v[i], 0]
+        row[i] -= 1
         if _extend_span(basis, row) and basis[-1][0] == n:
             return 0
     # <e_j, v> is v[j+1] for even j, -v[j-1] for odd j
@@ -263,7 +274,8 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
     The steps after the last central point are no block, and tau(Z, P)
     need not vanish there: unless they were read as one walk from a
     true prefix of I, they are read again, as one walk from their true
-    prefix, I or -I, with the span skip only from I.
+    prefix, I or -I, with the span skip only from I.  A product of I is
+    returned as ``symplectic.mat_identity(n)`` itself.
     """
     n = 2 * system.genus
     total = mark = 0
@@ -282,7 +294,8 @@ def local_signature(system, steps: Sequence[tuple[Sequence[int], int]]) -> tuple
             total += value
             sign *= close
         mark = i
-    return total, tuple(map(tuple, _scaled(sp.mat_identity(n), sign)))
+    identity = sp.mat_identity(n)
+    return total, identity if sign == 1 else tuple(tuple(-x for x in row) for row in identity)
 
 
 def _read_block(steps, i: int, n: int, sign: int, split: bool):
@@ -296,10 +309,14 @@ def _read_block(steps, i: int, n: int, sign: int, split: bool):
     at the step where its span reaches rank 2g, and the block closes
     when the second prefix is +-A^-1, for A the first walk's product;
     the value then adds tau(A, +-A^-1) (see the module docstring).
+
+    The prefix is compared after each step with the shared row lists of
+    I and -I (``_centre_rows``) and starts as a copy of one of them;
+    after a split the rows of A^-1 and -A^-1 are built once, from
+    ``symplectic.symplectic_inverse``, and take their place.
     """
-    identity = sp.mat_identity(n)
-    prefix = _scaled(identity, sign)
-    ends = _scaled(identity, 1), _scaled(identity, -1)
+    ends = centre = _centre_rows(n)
+    prefix = [list(row) for row in centre[sign == -1]]
     basis = [] if sign == 1 else None  # the walk's span, until it is all of Q^2g
     first = None  # the first walk's product A, once the block is split
     value = 0
@@ -327,16 +344,20 @@ def _read_block(steps, i: int, n: int, sign: int, split: bool):
             if split:
                 split = False
                 first = prefix
-                inverse = sp.symplectic_inverse(first)
-                ends = _scaled(inverse, 1), _scaled(inverse, -1)
-                prefix = _scaled(identity, 1)
+                inverse = [list(row) for row in sp.symplectic_inverse(first)]
+                ends = inverse, [[-x for x in row] for row in inverse]
+                prefix = [list(row) for row in centre[0]]
                 basis = []
     return value, i, 0, prefix, first is not None
 
 
-def _scaled(m, c: int) -> list[list[int]]:
-    """c M as row lists."""
-    return [[c * x for x in row] for row in m]
+@lru_cache(maxsize=16)
+def _centre_rows(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The row lists of I and -I, one shared pair per size as in
+    ``symplectic.mat_identity``; the walk compares its prefix with them
+    and copies them, and never changes them."""
+    identity = sp.mat_identity(n)
+    return [list(row) for row in identity], [[-x for x in row] for row in identity]
 
 
 def factorization_signature(system, w: Word) -> int:

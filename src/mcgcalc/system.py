@@ -79,6 +79,7 @@ class CurveSystem:
     """
 
     def __init__(self, genus: int):
+        genus, = _ints("genus", (genus,))
         if genus < 2:
             raise InvalidDeclaration("genus must be at least 2")
         self.genus = genus

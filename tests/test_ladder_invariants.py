@@ -257,9 +257,13 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 @example([[2, 2, 2], [2, 2, 4], [2, 4, 2]])  # the congruence branch after a pivot of 2
 @example([[0, 0, 5], [0, 0, 7], [5, 7, 0]])
+@example([[0, 0, 0], [0, 0, 1], [0, 1, 0]])  # zero row 0: the pair path swaps a row in
+@example([[1, 2, -1], [2, 4, -2], [-1, -2, 1]])  # one pivot, then an all-zero block
 @settings(max_examples=300, deadline=None)
 def test_signature_matches_gcd_scaled_recursion(s):
+    before = [list(row) for row in s]
     assert signature_of_symmetric(s) == sym_signature_oracle.signature_of_symmetric(s)
+    assert s == before
 
 
 @pytest.mark.parametrize("builder", ["build_ladder", "build_conjugated"])

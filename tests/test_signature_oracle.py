@@ -9,8 +9,10 @@ intersection form is
 
 (Ozbagci, *Signatures of Lefschetz fibrations*, Pacific J. Math. 2002).
 By Novikov additivity sigma(X) is the signature of Q, so this needs only
-``integer_kernel`` and ``signature_of_symmetric``, which the one-pass
-``factorization_signature`` does not call.  The fixtures pin the sign of
+``integer_kernel`` and the former p^2-scaled recursion kept in
+``tests/sym_signature_oracle.py``: the one-pass ``factorization_signature``
+reads its closing forms through ``meyer.signature_of_symmetric``, so the
+oracle does not share it.  The fixtures pin the sign of
 the cross term: with the other sign ``rhoprime``, whose four letters are
 null-homologous, comes out wrong.
 """
@@ -20,9 +22,10 @@ import random
 import pytest
 
 from mcgcalc import symplectic as sp
-from mcgcalc.meyer import factorization_signature, integer_kernel, signature_of_symmetric
+from mcgcalc.meyer import factorization_signature, integer_kernel
 from mcgcalc.moves import elementary_transformation
 from mcgcalc.parser import parse_system
+from tests.sym_signature_oracle import signature_of_symmetric
 from tests.test_incremental_replay import chain_text
 
 FIXTURES = [("g2", "rho", -12), ("g2", "rhoprime", -8), ("g3", "sigma3", -16)]

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from mcgcalc import fixture_path, meyer, parser, system as system_module, words
 from mcgcalc import symplectic as sp
 from mcgcalc.cli import run_command
+from mcgcalc.errors import NotARelator
 from mcgcalc.meyer import meyer_tau, signature_of_symmetric
 from mcgcalc.parser import parse_system
 from mcgcalc.words import twist_conjugate_letter
@@ -171,3 +172,27 @@ def test_conjugated_op_costs_at_most_sixteen_solves(tmp_path, tau_calls, capsys)
     counts = solves_per_op(benchmark_ops("build_conjugated", tmp_path), tau_calls, capsys)
     assert len(counts) >= 9
     assert Fraction(sum(counts), len(counts)) <= 16
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_shared_centre_rows_stay_plus_minus_identity(chains, g):
+    # the walk copies the shared rows of I and -I and twists only its
+    # copies: a block closing at +I, one closing at -I (the relator's
+    # half, read once and repeated) and a tail re-read from -I
+    system = chains[g]
+    n = 2 * g
+    steps = sp._known_classes(system, system.words["w"].letters)
+    half = steps[:len(steps) // 2]
+    (u, _), *_ = steps
+    centre = meyer._centre_rows(n)
+    identity = [list(row) for row in sp.mat_identity(n)]
+    expected = identity, [[-x for x in row] for row in identity]
+    assert meyer._relator_signature(system, [(u, 1), (u, -1)]) == 0
+    assert centre == expected
+    assert meyer._relator_signature(system, steps) == -4 * (g + 1)
+    assert centre == expected
+    with pytest.raises(NotARelator):
+        meyer._relator_signature(system, half + steps[:1])
+    assert centre == expected and meyer._centre_rows(n) is centre
+    assert meyer.local_signature(system, steps)[1] is sp.mat_identity(n)
+    assert meyer.local_signature(system, half)[1] == tuple(map(tuple, expected[1]))

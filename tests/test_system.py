@@ -12,7 +12,7 @@ from mcgcalc.errors import (
     UnknownCurve,
 )
 from mcgcalc.reports import Census, singular_fiber_census
-from mcgcalc.symplectic import mat_identity, mat_mul, pairing, transvection, twist_product
+from mcgcalc.symplectic import mat_identity, mat_mul, pairing, rho_image, transvection, twist_product
 from mcgcalc.system import (
     CurveSystem,
     RelationDecl,
@@ -411,6 +411,21 @@ def test_add_curve_refuses_non_integer_entries(cls):
     with pytest.raises(InvalidDeclaration, match="^each entry of the class of 'c' must be an integer$"):
         s.add_curve("c", cls)
     assert s.curve_names == ()
+
+
+@pytest.mark.parametrize("genus", [2.5, "3", None, float("nan"), (3,)])
+def test_curve_system_refuses_a_non_integer_genus(genus):
+    with pytest.raises(InvalidDeclaration, match="^genus must be an integer$"):
+        CurveSystem(genus)
+
+
+def test_curve_system_reads_an_integral_genus_as_an_int():
+    s = CurveSystem(3.0)
+    assert s.genus == 3 and type(s.genus) is int
+    s.add_curve("c", (1, 0, 0, 0, 0, 0))
+    assert rho_image(s, [(s.letter("c"), 1)]) == transvection((1, 0, 0, 0, 0, 0))
+    with pytest.raises(InvalidDeclaration, match="^genus must be at least 2$"):
+        CurveSystem(1.0)
 
 
 def test_add_curve_refuses_a_class_of_the_wrong_length():
